@@ -937,8 +937,12 @@ impl<E: TransportEndpoint> Controller<E> {
                 );
             }
             DriverMessage::MigrateTasks { name, count } => {
+                // Not logged and not invalidating: a migration changes where
+                // tasks run, never what the block computes, and its edits
+                // live in the template mirror, which a restore does not
+                // rewind — replaying the window's instantiations on whatever
+                // placement is current reproduces the same data.
                 let job = &mut self.jobs[j];
-                job.replay_valid = false;
                 match job
                     .tm
                     .plan_migrations(&name, count, &self.workers, &mut job.dm)
@@ -1099,8 +1103,7 @@ impl<E: TransportEndpoint> Controller<E> {
                 } else {
                     self.stats.full_validations += 1;
                 }
-                let had_patches = !plan.patch_commands.is_empty();
-                if had_patches {
+                if plan.patched {
                     self.stats.patches_applied += 1;
                     if plan.patch_cache_hit {
                         self.stats.patch_cache_hits += 1;
@@ -1115,7 +1118,7 @@ impl<E: TransportEndpoint> Controller<E> {
                 let expected = plan.expected_commands;
                 let patches = plan.patch_commands;
                 let per_worker = plan.per_worker;
-                if had_patches {
+                if !patches.is_empty() {
                     self.dispatch(j, patches)?;
                 }
                 // Counted unconditionally (not per send): a send to a worker
@@ -1436,18 +1439,29 @@ impl<E: TransportEndpoint> Controller<E> {
                 job.dm.drop_worker(w);
             }
         }
-        // A rejoined worker is a fresh process with an empty store, while the
-        // restored bookkeeping says its physical instances exist. Recreate
-        // every instance resident on it (idempotent on workers that still
-        // hold the object) so the reloads, copies, and template entries that
-        // follow have real objects to land in. Contents start as factory
-        // defaults — whatever version the checkpoint recorded for the old
-        // incarnation — so each instance is also marked stale (version 0,
-        // the factory state): the manifest reload below refreshes the ones
-        // it reloads, and validation patches the rest before any template
-        // reads them or updates them in place. Trusting the checkpointed
-        // versions here would make validation skip exactly those patches
-        // and replay on factory zeros.
+        // The snapshot records which version every instance held when the
+        // checkpoint was taken, but only one instance per partition is about
+        // to be reloaded with that version's contents. All the others hold
+        // whatever their worker last put there — later writes on a survivor,
+        // factory defaults on a rejoined worker's fresh process — so none of
+        // them may be trusted: each is marked stale (version 0, the factory
+        // state). The manifest reload below refreshes the ones it reloads,
+        // and validation patches the rest before any template reads them or
+        // updates them in place. Trusting the checkpointed versions here
+        // would make validation skip exactly those patches, and a replayed
+        // task would update an object that already contains its write (a
+        // second up-to-date copy of a partition, as migrations leave behind)
+        // or one that contains factory zeros.
+        let snapshot: Vec<nimbus_core::ids::PhysicalObjectId> =
+            job.dm.instances.iter().map(|i| i.id).collect();
+        for id in snapshot {
+            let _ = job.dm.instances.set_version(id, nimbus_core::Version(0));
+        }
+        // A rejoined worker's store is empty while the restored bookkeeping
+        // says its physical instances exist. Recreate every instance resident
+        // on it (idempotent on workers that still hold the object) so the
+        // reloads, copies, and template entries that follow have real objects
+        // to land in.
         let mut commands: Vec<AssignedCommand> = Vec::new();
         for rw in rejoined {
             let resident: Vec<nimbus_core::PhysicalInstance> = job
@@ -1458,10 +1472,6 @@ impl<E: TransportEndpoint> Controller<E> {
                 .copied()
                 .collect();
             for instance in resident {
-                let _ = job
-                    .dm
-                    .instances
-                    .set_version(instance.id, nimbus_core::Version(0));
                 let id = job.ids.command();
                 let create = Command::new(
                     id,

@@ -113,9 +113,10 @@ impl DataManager {
     }
 
     /// Registers a brand-new instance of `lp` on `worker` even if one already
-    /// exists there. Used by migration edits, which give a migrated task its
-    /// own input/output objects so they can be refreshed independently of the
-    /// instances the resident template entries use.
+    /// exists there. Used by migration edits when the destination has no
+    /// unused instance of the partition to take over: the ones it has belong
+    /// to resident template entries, whose ordering a moved task must not
+    /// join.
     pub fn create_dedicated_instance(
         &mut self,
         lp: LogicalPartition,

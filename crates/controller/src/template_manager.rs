@@ -9,8 +9,16 @@
 //! (skipping validation entirely for back-to-back runs of a self-validating
 //! template), patches data placement if needed, and sends one small
 //! instantiation message per worker.
+//!
+//! Migrations (Section 4.3) are planned in exactly one place,
+//! `plan_entry_move`, which both `migrate_tasks` and the rejoin handshake
+//! reach through [`TemplateManager::plan_migrations`] /
+//! [`TemplateManager::plan_migrations_to`]. A move transfers ownership of the
+//! partition the task writes, so a moved task is an ordinary task of its new
+//! worker and a block's size — entries, slots, instances, copies per
+//! iteration — is bounded by the block, not by how often its tasks moved.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use nimbus_core::graph::AssignedCommand;
 use nimbus_core::ids::{
@@ -109,8 +117,11 @@ impl RecordingState {
 pub struct InstantiationPlan {
     /// The worker-template group being instantiated.
     pub group: TemplateId,
-    /// Patch commands to dispatch before the instantiation messages.
+    /// Commands to dispatch before the instantiation messages: the patch,
+    /// and allocations for objects that edits introduced.
     pub patch_commands: Vec<AssignedCommand>,
+    /// True if preconditions were violated and a patch was emitted.
+    pub patched: bool,
     /// One instantiation message per worker.
     pub per_worker: Vec<(WorkerId, WorkerInstantiation)>,
     /// True if validation was skipped (back-to-back self-validating run).
@@ -324,68 +335,51 @@ impl TemplateManager {
         if count == 0 {
             return Ok(0);
         }
-        // Task entries already queued for each destination but not yet
-        // applied (earlier planning rounds): their slots are taken.
-        let mut queued_task_adds: HashMap<WorkerId, usize> = HashMap::new();
-        if let Some(pending) = self.pending_edits.get(&group_id) {
-            for (w, edits) in pending {
-                let adds = edits
-                    .iter()
-                    .filter(
-                        |e| matches!(e, TemplateEdit::AddEntry { entry } if entry.kind.is_task()),
-                    )
-                    .count();
-                queued_task_adds.insert(*w, adds);
-            }
-        }
         let group = self.registry.group_mut(group_id)?;
+        // Plan against the skeletons as they will be once every edit queued
+        // by earlier rounds has shipped, so rounds compose.
+        let mut view = PlannedView::new(group, self.pending_edits.get(&group_id))?;
+        let worker_list: Vec<WorkerId> = group.workers();
 
         let mut planned = 0usize;
-        let worker_list: Vec<WorkerId> = group.workers();
-        let mut edits_by_worker: HashMap<WorkerId, Vec<TemplateEdit>> = HashMap::new();
-
+        // Where this round put the tasks it moved: a later source does not
+        // pass them on again.
+        let mut arrived: HashSet<(WorkerId, usize)> = HashSet::new();
         'outer: for (wi, source) in worker_list.iter().enumerate() {
             let dest = dest_override.unwrap_or(worker_list[(wi + 1) % worker_list.len()]);
             if dest == *source {
                 continue;
             }
-            // Collect candidate task entries on the source worker.
-            let candidates: Vec<(usize, SkeletonEntry)> = {
-                let st = group
-                    .per_worker
-                    .get(source)
-                    .expect("group worker list matches per_worker");
-                st.entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.kind.is_task() && e.writes.len() == 1)
-                    .map(|(i, e)| (i, e.clone()))
-                    .collect()
-            };
-            for (entry_index, entry) in candidates {
+            // Indices are stable under edits, so a snapshot of the source's
+            // task entries stays valid while they are moved one by one. Last
+            // entries go first: what they leave behind is the skeleton's
+            // tail, which the workers drop instead of keeping tombstones.
+            let candidates: Vec<usize> = view
+                .template(*source)?
+                .entries
+                .iter()
+                .enumerate()
+                .rev()
+                .filter(|(i, e)| e.kind.is_task() && !arrived.contains(&(*source, *i)))
+                .map(|(i, _)| i)
+                .collect();
+            for entry_index in candidates {
                 if planned >= count {
                     break 'outer;
                 }
-                let taken = queued_task_adds.entry(dest).or_insert(0);
-                let Some((dest_edits, source_edit)) =
-                    plan_entry_move(group, dm, *source, dest, entry_index, &entry, *taken)
-                else {
-                    continue;
-                };
-                *taken += 1;
-                edits_by_worker
-                    .entry(*source)
-                    .or_default()
-                    .push(source_edit);
-                edits_by_worker.entry(dest).or_default().extend(dest_edits);
-                planned += 1;
+                if let Some(at) = plan_entry_move(group, &mut view, dm, *source, dest, entry_index)?
+                {
+                    arrived.insert((dest, at));
+                    planned += 1;
+                }
             }
         }
 
         if planned > 0 {
+            group.refresh_postconditions();
             self.patch_cache.invalidate_target(group_id);
             let pending = self.pending_edits.entry(group_id).or_default();
-            for (w, edits) in edits_by_worker {
+            for (w, edits) in view.new_edits {
                 self.edits_planned += edits.len() as u64;
                 pending.entry(w).or_default().extend(edits);
             }
@@ -500,7 +494,33 @@ impl TemplateManager {
         // Validation and patching (Section 4.2).
         let mut auto_validated = false;
         let mut patch_cache_hit = false;
+        let mut patched = false;
         let mut patch_commands: Vec<AssignedCommand> = Vec::new();
+        // Objects a shipped task entry uses may not exist on its new worker
+        // yet. The patch below allocates the stale ones before filling them;
+        // one that already validates — a new instance of a partition nothing
+        // ever wrote is up to date at the factory version — is allocated
+        // here (idempotent where the object exists).
+        for (worker, worker_edits) in &edits {
+            for edit in worker_edits {
+                let (TemplateEdit::AddEntry { entry } | TemplateEdit::ReplaceEntry { entry, .. }) =
+                    edit
+                else {
+                    continue;
+                };
+                if !entry.kind.is_task() {
+                    continue;
+                }
+                for object in entry.reads.iter().chain(&entry.writes) {
+                    let Some(inst) = dm.instances.get(*object) else {
+                        continue;
+                    };
+                    if dm.is_up_to_date(*object) {
+                        patch_commands.push(create_command(inst, *worker, bk, ids));
+                    }
+                }
+            }
+        }
         if self.last_executed == Some(group_id) && group.is_self_validating() && !has_edits {
             auto_validated = true;
         } else {
@@ -539,7 +559,8 @@ impl TemplateManager {
                         p
                     }
                 };
-                patch_commands = emit_patch_commands(&patch, dm, bk, ids);
+                patched = !patch.is_empty();
+                patch_commands.extend(emit_patch_commands(&patch, dm, bk, ids));
             }
         }
 
@@ -622,6 +643,7 @@ impl TemplateManager {
         Ok(InstantiationPlan {
             group: group_id,
             patch_commands,
+            patched,
             per_worker,
             auto_validated,
             patch_cache_hit,
@@ -631,121 +653,613 @@ impl TemplateManager {
     }
 }
 
-/// Plans moving one migratable task entry from `source` to `dest` (the
-/// Figure 6 shape: the destination receives inputs, runs the task, and sends
-/// the output back; the source's old task slot becomes the matching
-/// receive). Mutates the group's controller-side bookkeeping (transfer
-/// slots, task-slot map, exit offsets, preconditions) and returns the
-/// destination edits plus the source edit, or `None` when the entry is not
-/// migratable. `dest_task_adds_queued` counts task entries already queued
-/// for `dest` in unapplied edits, so consecutive moves get distinct slots.
+/// A group's skeletons as they will be once every queued edit has shipped:
+/// the controller's mirror with the pending edits replayed on a copy. The
+/// move planner reads this view and extends it, so it hands out the indices
+/// and slots the workers will see however many planning rounds run between
+/// two instantiations. (The mirror itself changes only when edits ship, so it
+/// always equals what is installed on the workers.)
+struct PlannedView {
+    templates: BTreeMap<WorkerId, WorkerTemplate>,
+    /// Edits planned through this view, per worker, in application order.
+    new_edits: HashMap<WorkerId, Vec<TemplateEdit>>,
+}
+
+impl PlannedView {
+    fn new(
+        group: &WorkerTemplateGroup,
+        pending: Option<&HashMap<WorkerId, Vec<TemplateEdit>>>,
+    ) -> ControllerResult<Self> {
+        let mut templates = group.per_worker.clone();
+        for (worker, edits) in pending.into_iter().flatten() {
+            if let Some(template) = templates.get_mut(worker) {
+                for edit in edits {
+                    template.apply_edit(edit)?;
+                }
+            }
+        }
+        Ok(Self {
+            templates,
+            new_edits: HashMap::new(),
+        })
+    }
+
+    fn template(&self, worker: WorkerId) -> ControllerResult<&WorkerTemplate> {
+        self.templates
+            .get(&worker)
+            .ok_or(ControllerError::UnknownWorker(worker))
+    }
+
+    fn apply(&mut self, worker: WorkerId, edit: TemplateEdit) -> ControllerResult<()> {
+        self.templates
+            .get_mut(&worker)
+            .ok_or(ControllerError::UnknownWorker(worker))?
+            .apply_edit(&edit)?;
+        self.new_edits.entry(worker).or_default().push(edit);
+        Ok(())
+    }
+
+    /// Puts `entry` at the lowest free index at or above `min` — a slot an
+    /// earlier move tombstoned, else the end — and returns that index.
+    /// Workers order the commands of one instantiation that touch the same
+    /// object by entry index, so `min` is how a caller keeps a new entry
+    /// behind the ones it must follow.
+    fn place(
+        &mut self,
+        worker: WorkerId,
+        min: usize,
+        entry: SkeletonEntry,
+    ) -> ControllerResult<usize> {
+        let template = self.template(worker)?;
+        let index = template.first_free_index(min);
+        let edit = if index < template.len() {
+            TemplateEdit::ReplaceEntry { index, entry }
+        } else {
+            TemplateEdit::AddEntry { entry }
+        };
+        self.apply(worker, edit)?;
+        Ok(index)
+    }
+
+    /// The lowest block-scoped transfer slot no live send or receive uses.
+    fn free_transfer_slot(&self) -> usize {
+        let used: HashSet<usize> = self
+            .templates
+            .values()
+            .flat_map(|t| &t.entries)
+            .filter_map(|e| match &e.kind {
+                SkeletonKind::SendCopy { transfer_slot, .. }
+                | SkeletonKind::ReceiveCopy { transfer_slot, .. } => Some(*transfer_slot),
+                _ => None,
+            })
+            .collect();
+        (0..used.len())
+            .find(|slot| !used.contains(slot))
+            .unwrap_or(used.len())
+    }
+
+    /// Index of the live receive on `worker` that takes `transfer_slot`.
+    fn receive_of(&self, worker: WorkerId, transfer_slot: usize) -> Option<usize> {
+        self.templates.get(&worker)?.entries.iter().position(|e| {
+            matches!(&e.kind, SkeletonKind::ReceiveCopy { transfer_slot: s, .. } if *s == transfer_slot)
+        })
+    }
+
+    /// Index of the last live entry on `worker` that writes `object`.
+    fn last_writer_of(&self, worker: WorkerId, object: PhysicalObjectId) -> Option<usize> {
+        self.templates
+            .get(&worker)?
+            .entries
+            .iter()
+            .rposition(|e| e.writes_object(object))
+    }
+
+    /// True if a live entry on `worker` reads or writes `object`.
+    fn touches(&self, worker: WorkerId, object: PhysicalObjectId) -> bool {
+        self.templates.get(&worker).is_some_and(|t| {
+            t.entries
+                .iter()
+                .any(|e| e.reads_object(object) || e.writes_object(object))
+        })
+    }
+}
+
+/// An instance of `lp` on `worker` that nothing uses — no live entry touches
+/// it and the group holds no precondition on it, typically what an earlier
+/// move left behind — or, failing that, a newly registered one. Reuse keeps
+/// the number of instances bounded by partitions × workers rather than by
+/// the number of migrations.
+fn spare_instance(
+    group: &WorkerTemplateGroup,
+    view: &PlannedView,
+    dm: &mut DataManager,
+    lp: LogicalPartition,
+    worker: WorkerId,
+) -> PhysicalObjectId {
+    let spare = dm
+        .instances
+        .instances_of(lp)
+        .into_iter()
+        .filter(|inst| inst.worker == worker)
+        .map(|inst| inst.id)
+        .filter(|id| {
+            !view.touches(worker, *id) && !group.preconditions.iter().any(|p| p.physical == *id)
+        })
+        .min();
+    spare.unwrap_or_else(|| dm.create_dedicated_instance(lp, worker).id)
+}
+
+/// Adds the precondition "`object` on `worker` holds the latest `lp` at block
+/// entry" unless the group already has it.
+fn require(
+    group: &mut WorkerTemplateGroup,
+    worker: WorkerId,
+    object: PhysicalObjectId,
+    lp: LogicalPartition,
+) {
+    if !group.preconditions.iter().any(|p| p.physical == object) {
+        group
+            .preconditions
+            .push(Precondition::new(worker, object, lp));
+    }
+}
+
+/// Moves one task entry from `source` to `dest` by transferring ownership of
+/// the partition it writes: the destination's instance becomes the block's
+/// up-to-date holder (its precondition and exit offset move with the task,
+/// the source's are dropped) and is filled once, by validation and patching
+/// on the first edited instantiation. Afterwards the task is an ordinary task
+/// of its new worker — moving it again, or home, is this same operation, so
+/// hops never chain:
+///
+/// * sends of the output to other workers move with the task (the receiving
+///   side is re-pointed); a send to `dest` itself disappears, the task taking
+///   the place of the matching receive and writing its object directly;
+/// * only if a live entry left on the source still reads the output does the
+///   Figure 6 pair appear — the destination sends the result back and the
+///   source's task slot becomes the matching receive; otherwise the slot is
+///   tombstoned and nothing is copied per iteration.
+///
+/// New entries go to tombstoned indices, freed task and transfer slots, and
+/// unused instances before anything is appended or allocated. Returns the
+/// index the task took on `dest`, or `None` (nothing changed) when the entry
+/// cannot move: it waits for in-block work on the source, or another entry
+/// there also writes its output.
 fn plan_entry_move(
     group: &mut WorkerTemplateGroup,
+    view: &mut PlannedView,
     dm: &mut DataManager,
     source: WorkerId,
     dest: WorkerId,
-    entry_index: usize,
-    entry: &SkeletonEntry,
-    dest_task_adds_queued: usize,
-) -> Option<(Vec<TemplateEdit>, TemplateEdit)> {
+    index: usize,
+) -> ControllerResult<Option<usize>> {
+    let st = view.template(source)?;
+    let Some(entry) = st.entries.get(index) else {
+        return Ok(None);
+    };
     let SkeletonKind::RunTask {
         function,
         task_slot,
     } = entry.kind
     else {
-        return None;
+        return Ok(None);
     };
-    let source_output = *entry.writes.first()?;
-    let output_lp = dm.instances.get(source_output).map(|i| i.logical)?;
-    // The migrated task gets dedicated destination-side instances for its
-    // inputs and output. Dedicated (rather than shared) instances keep it
-    // independent of the destination's resident entries — in particular of
-    // the end-of-block refresh copies — so the edit cannot introduce
-    // ordering cycles; the inputs become preconditions that validation and
-    // patching refresh with the block-entry versions every iteration.
-    let mut dest_edits: Vec<TemplateEdit> = Vec::new();
-    let mut dest_inputs = Vec::new();
-    let mut new_preconditions = Vec::new();
-    let mut input_lps = Vec::with_capacity(entry.reads.len());
-    for input in &entry.reads {
-        input_lps.push(dm.instances.get(*input).map(|i| i.logical)?);
+    let &[output] = entry.writes.as_slice() else {
+        return Ok(None);
+    };
+    // A task that waits for other entries of the block consumes data made
+    // during the block; only tasks that start from block-entry state move.
+    if st.has_live_before(index) {
+        return Ok(None);
     }
-    for lp in input_lps {
-        let inst = dm.create_dedicated_instance(lp, dest);
-        dest_edits.push(TemplateEdit::AddEntry {
-            entry: SkeletonEntry::new(SkeletonKind::CreateData {
-                object: inst.id,
-                logical: lp,
-            }),
-        });
-        dest_inputs.push(inst.id);
-        new_preconditions.push(Precondition::new(dest, inst.id, lp));
-    }
-    let dest_output = dm.create_dedicated_instance(output_lp, dest);
-    dest_edits.push(TemplateEdit::AddEntry {
-        entry: SkeletonEntry::new(SkeletonKind::CreateData {
-            object: dest_output.id,
-            logical: output_lp,
-        }),
-    });
-    // Nimbus data objects are mutable: a task may update its output in
-    // place, so the migrated task's output object must also hold the
-    // block-entry version when the block starts.
-    new_preconditions.push(Precondition::new(dest, dest_output.id, output_lp));
-
-    // Destination runs the task and sends the result back to the source
-    // object; the source's old task slot becomes the matching receive so
-    // downstream dependencies are preserved.
-    let return_slot = group.transfer_slots;
-    group.transfer_slots += 1;
-    let controller_entry = group
+    let Some(output_lp) = dm.instances.get(output).map(|i| i.logical) else {
+        return Ok(None);
+    };
+    let Some(controller_entry) = group
         .task_slot_map
         .get(&source)
         .and_then(|m| m.get(task_slot))
-        .copied();
-    let dest_task_slot = group
-        .per_worker
-        .get(&dest)
-        .map(|t| t.task_slots)
-        .unwrap_or(0)
-        + dest_task_adds_queued;
-    let task_entry = SkeletonEntry::new(SkeletonKind::RunTask {
-        function,
-        task_slot: dest_task_slot,
-    })
-    .with_reads(dest_inputs.clone())
-    .with_writes(vec![dest_output.id])
-    .with_param_slot(dest_task_slot)
-    .with_default_params(entry.default_params.clone());
-    dest_edits.push(TemplateEdit::AddEntry { entry: task_entry });
-    dest_edits.push(TemplateEdit::AddEntry {
-        entry: SkeletonEntry::new(SkeletonKind::SendCopy {
-            from: dest_output.id,
-            to_worker: source,
-            transfer_slot: return_slot,
-        })
-        .with_reads(vec![dest_output.id]),
-    });
-    let source_edit = TemplateEdit::ReplaceEntry {
-        index: entry_index,
-        entry: SkeletonEntry::new(SkeletonKind::ReceiveCopy {
-            to: source_output,
-            from_worker: dest,
-            transfer_slot: return_slot,
-        })
-        .with_writes(vec![source_output]),
+        .copied()
+    else {
+        return Ok(None);
     };
-
-    // Bookkeeping on the group mirror.
-    if let Some(ce) = controller_entry {
-        group.task_slot_map.entry(dest).or_default().push(ce);
+    // The partitions behind the task's inputs (its output aside), in read
+    // order.
+    let mut input_lps = Vec::with_capacity(entry.reads.len());
+    for read in entry.reads.iter().filter(|r| **r != output) {
+        let Some(inst) = dm.instances.get(*read) else {
+            return Ok(None);
+        };
+        input_lps.push((*read, inst.logical));
     }
-    if let Some(off) = group.exit_offsets.get(&source_output).copied() {
-        group.exit_offsets.insert(dest_output.id, off);
-    }
-    group.preconditions.extend(new_preconditions);
 
-    Some((dest_edits, source_edit))
+    // Who else on the source uses the output: sends travel with the task,
+    // any other reader keeps a copy coming back, another writer pins it.
+    let mut forwards: Vec<(usize, WorkerId, usize)> = Vec::new();
+    let mut read_on_source = false;
+    for (j, other) in st.entries.iter().enumerate() {
+        if j == index {
+            continue;
+        }
+        if other.writes_object(output) {
+            return Ok(None);
+        }
+        if !other.reads_object(output) {
+            continue;
+        }
+        match &other.kind {
+            SkeletonKind::SendCopy {
+                to_worker,
+                transfer_slot,
+                ..
+            } => forwards.push((j, *to_worker, *transfer_slot)),
+            _ => read_on_source = true,
+        }
+    }
+    // A copy `dest` already receives: the task takes the receive's place.
+    let mut home: Option<(usize, PhysicalObjectId)> = None;
+    for (_, to_worker, slot) in &forwards {
+        if *to_worker != dest {
+            continue;
+        }
+        let dt = view.template(dest)?;
+        // In place means updating the received object, so it must reach
+        // the task in its block-entry state: nothing ordered before the
+        // receive, and no other writer.
+        let receive = view.receive_of(dest, *slot).and_then(|k| {
+            let SkeletonKind::ReceiveCopy { to, .. } = dt.entries[k].kind else {
+                return None;
+            };
+            let sole_writer = dt
+                .entries
+                .iter()
+                .enumerate()
+                .all(|(j, e)| j == k || !e.writes_object(to));
+            (sole_writer && !dt.has_live_before(k)).then_some((k, to))
+        });
+        if home.is_some() || receive.is_none() {
+            return Ok(None);
+        }
+        home = receive;
+    }
+    let entry = entry.clone();
+
+    // The task, on the destination.
+    let (dest_output, at) = match home {
+        Some((k, object)) => (object, k),
+        None => (
+            spare_instance(group, view, dm, output_lp, dest),
+            view.template(dest)?.first_free_index(0),
+        ),
+    };
+    let slot = view.template(dest)?.first_free_task_slot();
+    let mut inputs = Vec::with_capacity(input_lps.len());
+    for (_, lp) in &input_lps {
+        inputs.push((*lp, choose_input(group, view, dm, dest, *lp, at)?));
+    }
+    let mut chosen = inputs.iter().map(|(_, input)| input.object());
+    let dest_reads: Vec<PhysicalObjectId> = entry
+        .reads
+        .iter()
+        .filter_map(|read| {
+            if *read == output {
+                Some(dest_output)
+            } else {
+                chosen.next()
+            }
+        })
+        .collect();
+    let mut task = SkeletonEntry::new(SkeletonKind::RunTask {
+        function,
+        task_slot: slot,
+    })
+    .with_reads(dest_reads)
+    .with_writes(vec![dest_output])
+    .with_default_params(entry.default_params.clone());
+    task.param_slot = entry.param_slot.map(|_| slot);
+    if home.is_some() {
+        view.apply(
+            dest,
+            TemplateEdit::ReplaceEntry {
+                index: at,
+                entry: task,
+            },
+        )?;
+    } else {
+        view.place(dest, at, task)?;
+    }
+    for (lp, input) in inputs {
+        maintain_input(group, view, dm, dest, lp, input, at)?;
+    }
+
+    // Sends of the output now leave from the destination.
+    for (j, to_worker, transfer_slot) in forwards {
+        view.apply(source, TemplateEdit::RemoveEntry { index: j })?;
+        if to_worker == dest {
+            continue;
+        }
+        view.place(
+            dest,
+            at + 1,
+            SkeletonEntry::new(SkeletonKind::SendCopy {
+                from: dest_output,
+                to_worker,
+                transfer_slot,
+            })
+            .with_reads(vec![dest_output])
+            .with_before(vec![at]),
+        )?;
+        if let Some(k) = view.receive_of(to_worker, transfer_slot) {
+            let mut receive = view.template(to_worker)?.entries[k].clone();
+            if let SkeletonKind::ReceiveCopy { from_worker, .. } = &mut receive.kind {
+                *from_worker = dest;
+            }
+            view.apply(
+                to_worker,
+                TemplateEdit::ReplaceEntry {
+                    index: k,
+                    entry: receive,
+                },
+            )?;
+        }
+    }
+
+    // The task's old slot on the source.
+    if read_on_source {
+        let transfer_slot = view.free_transfer_slot();
+        group.transfer_slots = group.transfer_slots.max(transfer_slot + 1);
+        view.place(
+            dest,
+            at + 1,
+            SkeletonEntry::new(SkeletonKind::SendCopy {
+                from: dest_output,
+                to_worker: source,
+                transfer_slot,
+            })
+            .with_reads(vec![dest_output])
+            .with_before(vec![at]),
+        )?;
+        view.apply(
+            source,
+            TemplateEdit::ReplaceEntry {
+                index,
+                entry: SkeletonEntry::new(SkeletonKind::ReceiveCopy {
+                    to: output,
+                    from_worker: dest,
+                    transfer_slot,
+                })
+                .with_writes(vec![output]),
+            },
+        )?;
+    } else {
+        view.apply(source, TemplateEdit::RemoveEntry { index })?;
+    }
+
+    // Ownership of the written partition: the destination's object must hold
+    // the block-entry version (tasks update in place) and ends the block with
+    // the task's write; the source's object is either refreshed by the copy
+    // coming back — overwritten before anything reads it, so no longer a
+    // precondition — or out of the block altogether.
+    if let Some(offset) = group.exit_offsets.get(&output).copied() {
+        group.exit_offsets.insert(dest_output, offset);
+    }
+    if !read_on_source {
+        group.exit_offsets.remove(&output);
+    }
+    group.preconditions.retain(|p| p.physical != output);
+    require(group, dest, dest_output, output_lp);
+    // Inputs only this task read on the source need no upkeep there.
+    for (read, _) in &input_lps {
+        if !view.touches(source, *read) {
+            group.preconditions.retain(|p| p.physical != *read);
+        }
+    }
+
+    // One place hands out task slots: slot `s` of a worker is filled from
+    // controller entry `task_slot_map[worker][s]` for as long as a live entry
+    // uses `s`; unused trailing slots are not sent.
+    let dest_slots = group.task_slot_map.entry(dest).or_default();
+    if slot >= dest_slots.len() {
+        dest_slots.resize(slot + 1, controller_entry);
+    }
+    dest_slots[slot] = controller_entry;
+    if let Some(source_slots) = group.task_slot_map.get_mut(&source) {
+        let in_use = view
+            .template(source)?
+            .entries
+            .iter()
+            .filter_map(|e| match &e.kind {
+                SkeletonKind::RunTask { task_slot, .. } => Some(task_slot + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        source_slots.truncate(in_use);
+    }
+    Ok(Some(at))
+}
+
+/// How a moved task gets one of its inputs on the destination.
+enum InputPlan {
+    /// An object the destination already keeps up to date. Its in-block
+    /// writers listed here sit below the task's index and are re-placed
+    /// behind it, so the task still reads the block-entry contents.
+    Shared {
+        object: PhysicalObjectId,
+        writers_to_move: Vec<usize>,
+    },
+    /// A spare or new object, which the move starts keeping up to date.
+    Fresh { object: PhysicalObjectId },
+}
+
+impl InputPlan {
+    fn object(&self) -> PhysicalObjectId {
+        match self {
+            InputPlan::Shared { object, .. } | InputPlan::Fresh { object } => *object,
+        }
+    }
+}
+
+/// Picks the destination object a task about to sit at index `at` reads
+/// `lp` from. Changes nothing in the view (it may register an instance).
+fn choose_input(
+    group: &WorkerTemplateGroup,
+    view: &PlannedView,
+    dm: &mut DataManager,
+    dest: WorkerId,
+    lp: LogicalPartition,
+    at: usize,
+) -> ControllerResult<InputPlan> {
+    let template = view.template(dest)?;
+    let mut maintained: Vec<PhysicalObjectId> = group
+        .preconditions
+        .iter()
+        .filter(|p| p.worker == dest && p.logical == lp)
+        .map(|p| p.physical)
+        .collect();
+    maintained.sort_unstable();
+    'objects: for object in maintained {
+        // The task must come before every in-block writer of the object. A
+        // writer below it can step behind it if it is a plain refresh copy
+        // nothing waits for; a task writing in place cannot.
+        let mut writers_to_move = Vec::new();
+        for (j, e) in template.entries.iter().enumerate().take(at) {
+            if !e.writes_object(object) {
+                continue;
+            }
+            let refresh = matches!(
+                e.kind,
+                SkeletonKind::ReceiveCopy { .. } | SkeletonKind::LocalCopy { .. }
+            );
+            let awaited = template.entries.iter().any(|o| o.before.contains(&j));
+            if !refresh || awaited {
+                continue 'objects;
+            }
+            writers_to_move.push(j);
+        }
+        return Ok(InputPlan::Shared {
+            object,
+            writers_to_move,
+        });
+    }
+    Ok(InputPlan::Fresh {
+        object: spare_instance(group, view, dm, lp, dest),
+    })
+}
+
+/// Carries out an [`InputPlan`] once the task sits at index `at` on `dest`.
+fn maintain_input(
+    group: &mut WorkerTemplateGroup,
+    view: &mut PlannedView,
+    dm: &DataManager,
+    dest: WorkerId,
+    lp: LogicalPartition,
+    input: InputPlan,
+    at: usize,
+) -> ControllerResult<()> {
+    let object = match input {
+        InputPlan::Shared {
+            writers_to_move, ..
+        } => {
+            for j in writers_to_move {
+                let template = view.template(dest)?;
+                let mut writer = template.entries[j].clone();
+                writer.before.retain(|dep| template.is_live(*dep));
+                writer.before.push(at);
+                view.apply(dest, TemplateEdit::RemoveEntry { index: j })?;
+                view.place(dest, at + 1, writer)?;
+            }
+            return Ok(());
+        }
+        InputPlan::Fresh { object } => object,
+    };
+    require(group, dest, object, lp);
+    let total = group.write_totals.get(&lp).copied().unwrap_or(0);
+    if total == 0 {
+        return Ok(());
+    }
+    // The block writes this partition: add the end-of-block refresh template
+    // generation gives every precondition, from the object that ends the
+    // block with the last write. Later arrivals share the refreshed object.
+    // Preferably a local one, else the one a task wrote rather than a copy
+    // of it, so that refreshes fan out from the origin and never chain.
+    let holder = group
+        .exit_offsets
+        .iter()
+        .filter(|(_, offset)| **offset == total)
+        .filter_map(|(po, _)| dm.instances.get(*po))
+        .filter(|inst| inst.logical == lp)
+        .map(|inst| {
+            let copied = view
+                .last_writer_of(inst.worker, inst.id)
+                .and_then(|w| view.templates.get(&inst.worker)?.entries.get(w))
+                .is_some_and(|e| !e.kind.is_task());
+            (inst.worker != dest, copied, inst.id, inst.worker)
+        })
+        .min();
+    let Some((_, _, holder, holder_worker)) = holder else {
+        // Nothing to copy from: validation patches the object every time.
+        return Ok(());
+    };
+    let last_write = view.last_writer_of(holder_worker, holder);
+    let after_write = last_write.map_or(0, |w| w + 1);
+    if holder_worker == dest {
+        view.place(
+            dest,
+            after_write.max(at + 1),
+            SkeletonEntry::new(SkeletonKind::LocalCopy {
+                from: holder,
+                to: object,
+            })
+            .with_before(last_write.into_iter().chain([at]).collect()),
+        )?;
+    } else {
+        let transfer_slot = view.free_transfer_slot();
+        group.transfer_slots = group.transfer_slots.max(transfer_slot + 1);
+        view.place(
+            holder_worker,
+            after_write,
+            SkeletonEntry::new(SkeletonKind::SendCopy {
+                from: holder,
+                to_worker: dest,
+                transfer_slot,
+            })
+            .with_reads(vec![holder])
+            .with_before(last_write.into_iter().collect()),
+        )?;
+        view.place(
+            dest,
+            at + 1,
+            SkeletonEntry::new(SkeletonKind::ReceiveCopy {
+                to: object,
+                from_worker: holder_worker,
+                transfer_slot,
+            })
+            .with_writes(vec![object])
+            .with_before(vec![at]),
+        )?;
+    }
+    group.exit_offsets.insert(object, total);
+    Ok(())
+}
+
+/// The (idempotent) command that allocates `instance` on `worker`.
+fn create_command(
+    instance: &nimbus_core::PhysicalInstance,
+    worker: WorkerId,
+    bk: &mut Bookkeeping,
+    ids: &IdGens,
+) -> AssignedCommand {
+    let id = ids.command();
+    let command = Command::new(
+        id,
+        CommandKind::CreateData {
+            object: instance.id,
+            logical: instance.logical,
+        },
+    );
+    bk.note_write(instance.id, id);
+    AssignedCommand { command, worker }
 }
 
 /// Returns true if a cached patch still repairs all violated preconditions
@@ -772,9 +1286,9 @@ pub fn emit_patch_commands(
     ids: &IdGens,
 ) -> Vec<AssignedCommand> {
     let mut out = Vec::with_capacity(patch.directives.len() * 2);
-    // Destinations introduced by edits may not exist on the worker yet (their
-    // create entries ship with the next instantiation); prepend an idempotent
-    // create so the copy always has somewhere to land.
+    // Destinations introduced by edits (or re-registered after a restore) may
+    // not exist on the worker yet; prepend an idempotent create so the copy
+    // always has somewhere to land.
     let ensure_exists = |to: &PhysicalObjectId,
                          worker: WorkerId,
                          out: &mut Vec<AssignedCommand>,
@@ -782,16 +1296,7 @@ pub fn emit_patch_commands(
                          bk: &mut Bookkeeping,
                          ids: &IdGens| {
         if let Some(inst) = dm.instances.get(*to) {
-            let id = ids.command();
-            let command = Command::new(
-                id,
-                CommandKind::CreateData {
-                    object: *to,
-                    logical: inst.logical,
-                },
-            );
-            bk.note_write(*to, id);
-            out.push(AssignedCommand { command, worker });
+            out.push(create_command(inst, worker, bk, ids));
         }
     };
     for d in &patch.directives {
@@ -1086,33 +1591,31 @@ pub fn build_group(
     // Append end-of-block refresh copies so the template meets its own
     // preconditions at exit (auto-validation of tight loops, Section 4.2).
     let mut next_transfer_slot = transfer_slots.len();
-    let mut postconditions = Vec::new();
+    let mut refreshed: HashSet<PhysicalObjectId> = HashSet::new();
     for pre in &preconditions {
         let total = lp_writes.get(&pre.logical).copied().unwrap_or(0);
         let current = obj_offset.get(&pre.physical).copied().unwrap_or(0);
         if current == total {
-            postconditions.push(*pre);
             continue;
         }
         // Find a source object holding the block-exit version of the same
-        // partition, preferring one on the same worker.
-        let candidates: Vec<PhysicalObjectId> = obj_offset
+        // partition: one on the same worker if there is one, else one the
+        // recorded block itself left current rather than a copy appended
+        // here, so refreshes fan out from the origin instead of chaining.
+        let source = obj_offset
             .iter()
-            .filter(|(po, off)| {
-                **off == total
-                    && dm
-                        .instances
-                        .get(**po)
-                        .map(|i| i.logical == pre.logical)
-                        .unwrap_or(false)
+            .filter(|(_, off)| **off == total)
+            .filter_map(|(po, _)| dm.instances.get(*po))
+            .filter(|inst| inst.logical == pre.logical)
+            .map(|inst| {
+                (
+                    inst.worker != pre.worker,
+                    refreshed.contains(&inst.id),
+                    inst.id,
+                )
             })
-            .map(|(po, _)| *po)
-            .collect();
-        let source = candidates
-            .iter()
-            .find(|po| dm.instances.get(**po).map(|i| i.worker) == Some(pre.worker))
-            .or_else(|| candidates.first())
-            .copied();
+            .min()
+            .map(|(_, _, id)| id);
         let Some(source) = source else {
             continue;
         };
@@ -1209,7 +1712,7 @@ pub fn build_group(
             }
         }
         obj_offset.insert(pre.physical, total);
-        postconditions.push(*pre);
+        refreshed.insert(pre.physical);
     }
 
     let mut per_worker = std::collections::BTreeMap::new();
@@ -1219,15 +1722,12 @@ pub fn build_group(
         per_worker.insert(worker, template);
     }
 
-    Ok(WorkerTemplateGroup {
-        id: group_id,
-        controller_template: controller_template.id,
-        per_worker,
-        preconditions,
-        postconditions,
-        transfer_slots: next_transfer_slot,
-        write_totals: lp_writes,
-        exit_offsets: obj_offset,
-        task_slot_map,
-    })
+    let mut group = WorkerTemplateGroup::new(group_id, controller_template.id, per_worker);
+    group.preconditions = preconditions;
+    group.transfer_slots = next_transfer_slot;
+    group.write_totals = lp_writes;
+    group.exit_offsets = obj_offset;
+    group.task_slot_map = task_slot_map;
+    group.refresh_postconditions();
+    Ok(group)
 }

@@ -294,19 +294,19 @@ mod tests {
     }
 
     fn group(id: u64, controller: u64, workers: &[u32]) -> WorkerTemplateGroup {
-        let mut g = WorkerTemplateGroup {
-            id: TemplateId(id),
-            controller_template: TemplateId(controller),
-            ..Default::default()
-        };
-        for w in workers {
-            g.per_worker.insert(
-                WorkerId(*w),
-                WorkerTemplate::new(TemplateId(id), TemplateId(controller), WorkerId(*w), vec![])
-                    .unwrap(),
-            );
-        }
-        g
+        let per_worker = workers
+            .iter()
+            .map(|w| {
+                let template = WorkerTemplate::new(
+                    TemplateId(id),
+                    TemplateId(controller),
+                    WorkerId(*w),
+                    vec![],
+                );
+                (WorkerId(*w), template.unwrap())
+            })
+            .collect();
+        WorkerTemplateGroup::new(TemplateId(id), TemplateId(controller), per_worker)
     }
 
     #[test]

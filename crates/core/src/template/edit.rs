@@ -5,12 +5,13 @@
 //! (Section 2.3, 4.3). They are attached to an instantiation message and
 //! applied by the worker (and mirrored by the controller) before the skeleton
 //! is expanded. Edits keep indices stable: removal tombstones an entry,
-//! replacement swaps it at the same index, additions append.
+//! replacement swaps it at the same index, additions append. Which edits a
+//! migration needs is decided in one place, the controller's move planner
+//! (`nimbus_controller::template_manager`).
 
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{FunctionId, PhysicalObjectId, WorkerId};
-use crate::template::worker_template::{SkeletonEntry, SkeletonKind};
+use crate::template::worker_template::SkeletonEntry;
 
 /// A single edit to an installed worker template.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -46,114 +47,10 @@ impl TemplateEdit {
     }
 }
 
-/// The edits produced by migrating one task between two workers, as in
-/// Figure 6 of the paper: on the source worker the task's slot is replaced by
-/// a receive of the task's output, plus a send of its inputs; on the
-/// destination worker the task is added along with the matching receive of
-/// inputs and send of outputs.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct MigrationEdits {
-    /// Edits to apply to the source worker's template.
-    pub source: Vec<TemplateEdit>,
-    /// Edits to apply to the destination worker's template.
-    pub destination: Vec<TemplateEdit>,
-    /// Number of new transfer slots the migration consumed.
-    pub new_transfer_slots: usize,
-}
-
-/// Plans the edits that migrate a single task between workers.
-///
-/// `task_entry_index` is the task's entry index in the source template,
-/// `inputs`/`output` are the physical objects the task reads and writes on
-/// the source worker, and `dest_inputs`/`dest_output` are their counterparts
-/// on the destination worker (allocated by the controller). `first_transfer_slot`
-/// is the first unused block-scoped transfer slot.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_task_migration(
-    task_entry_index: usize,
-    function: FunctionId,
-    task_slot: usize,
-    param_slot: Option<usize>,
-    source_worker: WorkerId,
-    dest_worker: WorkerId,
-    inputs: &[(PhysicalObjectId, PhysicalObjectId)],
-    output: (PhysicalObjectId, PhysicalObjectId),
-    first_transfer_slot: usize,
-) -> MigrationEdits {
-    let mut source = Vec::new();
-    let mut destination = Vec::new();
-    let mut slot = first_transfer_slot;
-
-    // Source sends each input the destination needs (S1 in Figure 6).
-    let mut dest_input_receive_indices = Vec::new();
-    for (src_obj, dst_obj) in inputs {
-        source.push(TemplateEdit::AddEntry {
-            entry: SkeletonEntry::new(SkeletonKind::SendCopy {
-                from: *src_obj,
-                to_worker: dest_worker,
-                transfer_slot: slot,
-            })
-            .with_reads(vec![*src_obj]),
-        });
-        destination.push(TemplateEdit::AddEntry {
-            entry: SkeletonEntry::new(SkeletonKind::ReceiveCopy {
-                to: *dst_obj,
-                from_worker: source_worker,
-                transfer_slot: slot,
-            })
-            .with_writes(vec![*dst_obj]),
-        });
-        dest_input_receive_indices.push(destination.len() - 1);
-        slot += 1;
-    }
-
-    // Destination runs the task (depends on the receives just added; the
-    // concrete before indices are resolved by the controller when it knows
-    // the destination template's current length).
-    let task_entry = SkeletonEntry::new(SkeletonKind::RunTask {
-        function,
-        task_slot,
-    })
-    .with_reads(inputs.iter().map(|(_, d)| *d).collect())
-    .with_writes(vec![output.1]);
-    let task_entry = match param_slot {
-        Some(p) => task_entry.with_param_slot(p),
-        None => task_entry,
-    };
-    destination.push(TemplateEdit::AddEntry { entry: task_entry });
-
-    // Destination sends the output back; the source's old task slot becomes
-    // the matching receive so downstream commands keep their dependency index
-    // (R1/S2 in Figure 6).
-    destination.push(TemplateEdit::AddEntry {
-        entry: SkeletonEntry::new(SkeletonKind::SendCopy {
-            from: output.1,
-            to_worker: source_worker,
-            transfer_slot: slot,
-        })
-        .with_reads(vec![output.1]),
-    });
-    source.push(TemplateEdit::ReplaceEntry {
-        index: task_entry_index,
-        entry: SkeletonEntry::new(SkeletonKind::ReceiveCopy {
-            to: output.0,
-            from_worker: dest_worker,
-            transfer_slot: slot,
-        })
-        .with_writes(vec![output.0]),
-    });
-    slot += 1;
-
-    MigrationEdits {
-        source,
-        destination,
-        new_transfer_slots: slot - first_transfer_slot,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::worker_template::SkeletonKind;
 
     #[test]
     fn tags() {
@@ -165,52 +62,5 @@ mod tests {
             .tag(),
             "add"
         );
-    }
-
-    #[test]
-    fn migration_plan_shape_matches_figure_6() {
-        let plan = plan_task_migration(
-            3,
-            FunctionId(7),
-            0,
-            Some(0),
-            WorkerId(1),
-            WorkerId(2),
-            &[(PhysicalObjectId(10), PhysicalObjectId(20))],
-            (PhysicalObjectId(11), PhysicalObjectId(21)),
-            5,
-        );
-        // Source: one send (inputs) + one replace (old task slot becomes a receive).
-        assert_eq!(plan.source.len(), 2);
-        assert!(matches!(plan.source[0], TemplateEdit::AddEntry { .. }));
-        assert!(matches!(
-            plan.source[1],
-            TemplateEdit::ReplaceEntry { index: 3, .. }
-        ));
-        // Destination: receive input + run task + send output.
-        assert_eq!(plan.destination.len(), 3);
-        // Two transfers were allocated (input push and output return).
-        assert_eq!(plan.new_transfer_slots, 2);
-    }
-
-    #[test]
-    fn migration_with_multiple_inputs_allocates_distinct_transfers() {
-        let plan = plan_task_migration(
-            0,
-            FunctionId(1),
-            0,
-            None,
-            WorkerId(0),
-            WorkerId(1),
-            &[
-                (PhysicalObjectId(1), PhysicalObjectId(5)),
-                (PhysicalObjectId(2), PhysicalObjectId(6)),
-            ],
-            (PhysicalObjectId(3), PhysicalObjectId(7)),
-            0,
-        );
-        assert_eq!(plan.new_transfer_slots, 3);
-        assert_eq!(plan.source.len(), 3);
-        assert_eq!(plan.destination.len(), 4);
     }
 }

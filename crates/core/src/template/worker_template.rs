@@ -166,6 +166,34 @@ impl SkeletonEntry {
         self.default_params = params;
         self
     }
+
+    /// Returns true if the entry reads `object`, counting the implicit
+    /// source of a copy, send, or save.
+    pub fn reads_object(&self, object: PhysicalObjectId) -> bool {
+        self.reads.contains(&object)
+            || match &self.kind {
+                SkeletonKind::LocalCopy { from, .. } | SkeletonKind::SendCopy { from, .. } => {
+                    *from == object
+                }
+                SkeletonKind::SaveData { object: o, .. } => *o == object,
+                _ => false,
+            }
+    }
+
+    /// Returns true if the entry writes `object`, counting the implicit
+    /// destination of a copy, receive, load, create, or destroy.
+    pub fn writes_object(&self, object: PhysicalObjectId) -> bool {
+        self.writes.contains(&object)
+            || match &self.kind {
+                SkeletonKind::LocalCopy { to, .. } | SkeletonKind::ReceiveCopy { to, .. } => {
+                    *to == object
+                }
+                SkeletonKind::LoadData { object: o, .. }
+                | SkeletonKind::CreateData { object: o, .. }
+                | SkeletonKind::DestroyData { object: o } => *o == object,
+                _ => false,
+            }
+    }
 }
 
 /// The instantiation message for one worker template: everything the worker
@@ -287,50 +315,103 @@ impl WorkerTemplate {
         self.param_slots = param_slots;
     }
 
-    /// Applies a list of edits in place (Section 4.3). Edits keep entry
-    /// indices stable: removal replaces an entry with a nop, replacement
-    /// swaps the entry at the same index, and additions append.
-    pub fn apply_edits(&mut self, edits: &[TemplateEdit]) -> CoreResult<()> {
-        for edit in edits {
-            match edit {
-                TemplateEdit::RemoveEntry { index } => {
-                    let len = self.entries.len();
-                    let e = self
-                        .entries
-                        .get_mut(*index)
-                        .ok_or(CoreError::EditIndexOutOfBounds { index: *index, len })?;
-                    e.kind = SkeletonKind::Nop;
-                    e.reads.clear();
-                    e.writes.clear();
-                    e.param_slot = None;
-                    e.default_params = TaskParams::empty();
-                }
-                TemplateEdit::ReplaceEntry { index, entry } => {
-                    let len = self.entries.len();
-                    for dep in &entry.before {
-                        if *dep >= len {
-                            return Err(CoreError::InvalidEdit(format!(
-                                "replacement at {index} depends on out-of-range entry {dep}"
-                            )));
-                        }
-                    }
-                    let slot = self
-                        .entries
-                        .get_mut(*index)
-                        .ok_or(CoreError::EditIndexOutOfBounds { index: *index, len })?;
-                    *slot = entry.clone();
-                }
-                TemplateEdit::AddEntry { entry } => {
-                    for dep in &entry.before {
-                        if *dep > self.entries.len() {
-                            return Err(CoreError::InvalidEdit(format!(
-                                "added entry depends on out-of-range entry {dep}"
-                            )));
-                        }
-                    }
-                    self.entries.push(entry.clone());
+    /// Returns true if `index` names an entry that still emits a command
+    /// (tombstoned and trimmed indices do not).
+    pub fn is_live(&self, index: usize) -> bool {
+        self.entries.get(index).is_some_and(|e| !e.kind.is_nop())
+    }
+
+    /// Returns true if the entry at `index` waits for another live entry.
+    pub fn has_live_before(&self, index: usize) -> bool {
+        self.entries
+            .get(index)
+            .is_some_and(|e| e.before.iter().any(|dep| self.is_live(*dep)))
+    }
+
+    /// The lowest tombstoned index at or above `min`, or `len()` (append) if
+    /// there is none: where a new entry goes so that templates do not grow
+    /// with the number of edits applied to them.
+    pub fn first_free_index(&self, min: usize) -> usize {
+        (min..self.entries.len())
+            .find(|i| self.entries[*i].kind.is_nop())
+            .unwrap_or(self.entries.len())
+    }
+
+    /// The lowest task slot (and parameter slot) no live entry uses.
+    pub fn first_free_task_slot(&self) -> usize {
+        let mut used = vec![false; self.entries.len() + 1];
+        for e in &self.entries {
+            if let SkeletonKind::RunTask { task_slot, .. } = &e.kind {
+                if let Some(u) = used.get_mut(*task_slot) {
+                    *u = true;
                 }
             }
+        }
+        used.iter().position(|u| !u).unwrap_or(used.len())
+    }
+
+    /// Applies one edit and nothing else: no slot recount, no trimming.
+    /// Planning replays queued edits through this so that the indices it
+    /// hands out are the ones the shipped batch will see; everything else
+    /// uses [`WorkerTemplate::apply_edits`].
+    pub fn apply_edit(&mut self, edit: &TemplateEdit) -> CoreResult<()> {
+        match edit {
+            TemplateEdit::RemoveEntry { index } => {
+                let len = self.entries.len();
+                let e = self
+                    .entries
+                    .get_mut(*index)
+                    .ok_or(CoreError::EditIndexOutOfBounds { index: *index, len })?;
+                e.kind = SkeletonKind::Nop;
+                e.reads.clear();
+                e.writes.clear();
+                e.before.clear();
+                e.param_slot = None;
+                e.default_params = TaskParams::empty();
+            }
+            TemplateEdit::ReplaceEntry { index, entry } => {
+                let len = self.entries.len();
+                for dep in &entry.before {
+                    if *dep >= len {
+                        return Err(CoreError::InvalidEdit(format!(
+                            "replacement at {index} depends on out-of-range entry {dep}"
+                        )));
+                    }
+                }
+                let slot = self
+                    .entries
+                    .get_mut(*index)
+                    .ok_or(CoreError::EditIndexOutOfBounds { index: *index, len })?;
+                *slot = entry.clone();
+            }
+            TemplateEdit::AddEntry { entry } => {
+                for dep in &entry.before {
+                    if *dep > self.entries.len() {
+                        return Err(CoreError::InvalidEdit(format!(
+                            "added entry depends on out-of-range entry {dep}"
+                        )));
+                    }
+                }
+                self.entries.push(entry.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies the edits shipped with one instantiation (Section 4.3). Edits
+    /// keep entry indices stable: removal replaces an entry with a nop,
+    /// replacement swaps the entry at the same index, and additions append.
+    /// Once the batch is in, trailing tombstones are dropped — no surviving
+    /// index moves, and a worker that has shed its tasks is left with an
+    /// empty skeleton instead of a list of nops. The controller mirror and
+    /// the worker both come through here once per shipped batch, so they trim
+    /// at the same point.
+    pub fn apply_edits(&mut self, edits: &[TemplateEdit]) -> CoreResult<()> {
+        for edit in edits {
+            self.apply_edit(edit)?;
+        }
+        while self.entries.last().is_some_and(|e| e.kind.is_nop()) {
+            self.entries.pop();
         }
         self.recompute_slots();
         Ok(())
@@ -407,12 +488,12 @@ impl WorkerTemplate {
                 Some(slot) => inst.params[slot].clone(),
                 None => e.default_params.clone(),
             };
-            // Drop dependencies on nop entries: the command they named no
-            // longer exists in this instantiation.
+            // Drop dependencies on nop (or trimmed) entries: the command they
+            // named no longer exists in this instantiation.
             let before = e
                 .before
                 .iter()
-                .filter(|dep| !self.entries[**dep].kind.is_nop())
+                .filter(|dep| self.is_live(**dep))
                 .map(|dep| command_id(*dep))
                 .collect();
             out.push(Command {
@@ -443,10 +524,11 @@ pub struct WorkerTemplateGroup {
     pub per_worker: BTreeMap<WorkerId, WorkerTemplate>,
     /// Objects that must be up to date when the group is instantiated.
     pub preconditions: Vec<Precondition>,
-    /// Objects guaranteed to be up to date when the group finishes. Template
-    /// generation appends end-of-block copies so that `postconditions ⊇
-    /// preconditions`, which makes back-to-back instantiations of the same
-    /// group validate automatically (Section 4.2).
+    /// The preconditions the block itself leaves up to date when it finishes
+    /// (derived: see [`WorkerTemplateGroup::refresh_postconditions`]).
+    /// Template generation appends end-of-block copies so that they cover
+    /// every precondition, which makes back-to-back instantiations of the
+    /// same group validate automatically (Section 4.2).
     pub postconditions: Vec<Precondition>,
     /// Number of block-scoped transfer slots used by send/receive pairs.
     pub transfer_slots: usize,
@@ -459,9 +541,28 @@ pub struct WorkerTemplateGroup {
     /// of that worker's task slots. Slot `s` of worker `w` takes the task id
     /// generated for entry `task_slot_map[w][s]` of the controller template.
     pub task_slot_map: HashMap<WorkerId, Vec<usize>>,
+    /// Whether `postconditions` cover `preconditions`; kept by
+    /// [`WorkerTemplateGroup::refresh_postconditions`].
+    self_validating: bool,
 }
 
 impl WorkerTemplateGroup {
+    /// Creates a group over the given skeletons with no data bookkeeping yet;
+    /// the caller fills the public fields and then calls
+    /// [`WorkerTemplateGroup::refresh_postconditions`].
+    pub fn new(
+        id: TemplateId,
+        controller_template: TemplateId,
+        per_worker: BTreeMap<WorkerId, WorkerTemplate>,
+    ) -> Self {
+        Self {
+            id,
+            controller_template,
+            per_worker,
+            ..Default::default()
+        }
+    }
+
     /// Total number of task slots across all workers.
     pub fn total_task_slots(&self) -> usize {
         self.per_worker.values().map(|t| t.task_slots).sum()
@@ -481,13 +582,27 @@ impl WorkerTemplateGroup {
 
     /// Returns true if instantiating this group right after itself requires
     /// no validation: every precondition object is refreshed by the block
-    /// itself (its postconditions cover its preconditions).
+    /// itself (its postconditions cover its preconditions). Planning asks
+    /// this once per instantiation, so it is a stored answer, not a scan.
     pub fn is_self_validating(&self) -> bool {
-        self.preconditions.iter().all(|p| {
-            self.postconditions
-                .iter()
-                .any(|q| q.physical == p.physical && q.logical == p.logical)
-        })
+        self.self_validating
+    }
+
+    /// Recomputes `postconditions` and the self-validation answer from
+    /// `preconditions`, `exit_offsets`, and `write_totals`: a precondition is
+    /// met again at block exit when its object ends the block holding the
+    /// partition's last in-block write (or the partition is not written at
+    /// all). Whoever changes one of the three — template generation, an
+    /// edit — calls this before the group is planned again.
+    pub fn refresh_postconditions(&mut self) {
+        let (exit_offsets, write_totals) = (&self.exit_offsets, &self.write_totals);
+        self.postconditions.clear();
+        self.postconditions
+            .extend(self.preconditions.iter().copied().filter(|p| {
+                exit_offsets.get(&p.physical).copied().unwrap_or(0)
+                    == write_totals.get(&p.logical).copied().unwrap_or(0)
+            }));
+        self.self_validating = self.postconditions.len() == self.preconditions.len();
     }
 }
 
@@ -673,16 +788,71 @@ mod tests {
 
     #[test]
     fn group_self_validation_detection() {
-        let mut group = WorkerTemplateGroup {
-            id: TemplateId(1),
-            controller_template: TemplateId(1),
-            ..Default::default()
-        };
+        let mut group = WorkerTemplateGroup::new(TemplateId(1), TemplateId(1), BTreeMap::new());
+        // The block writes the partition once, through another object: the
+        // precondition object ends the block stale.
         let pre = Precondition::new(WorkerId(0), po(1), lp(1, 0));
         group.preconditions.push(pre);
+        group.write_totals.insert(lp(1, 0), 1);
+        group.exit_offsets.insert(po(2), 1);
+        group.refresh_postconditions();
         assert!(!group.is_self_validating());
-        group.postconditions.push(pre);
+        assert!(group.postconditions.is_empty());
+        // An end-of-block copy into it makes the block meet its own
+        // precondition.
+        group.exit_offsets.insert(po(1), 1);
+        group.refresh_postconditions();
         assert!(group.is_self_validating());
+        assert_eq!(group.postconditions, vec![pre]);
+        // A partition the block never writes needs no refresh.
+        group
+            .preconditions
+            .push(Precondition::new(WorkerId(0), po(3), lp(2, 0)));
+        group.refresh_postconditions();
+        assert!(group.is_self_validating());
+    }
+
+    #[test]
+    fn edit_batches_trim_trailing_tombstones_and_reuse_freed_indices() {
+        let mut t = simple_template();
+        assert_eq!(t.first_free_index(0), 3);
+        assert_eq!(t.first_free_task_slot(), 1);
+        // Removing the tail shrinks the skeleton; the survivor's index stays.
+        t.apply_edits(&[
+            TemplateEdit::RemoveEntry { index: 2 },
+            TemplateEdit::RemoveEntry { index: 1 },
+        ])
+        .unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.task_slots, 0);
+        assert_eq!(t.first_free_task_slot(), 0);
+        // A tombstone below a live entry stays and is the next free index.
+        let mut t = simple_template();
+        t.apply_edits(&[TemplateEdit::RemoveEntry { index: 1 }])
+            .unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.first_free_index(0), 1);
+        assert_eq!(t.first_free_index(2), 3);
+        assert!(!t.has_live_before(2), "the send waited only for the nop");
+        // Single edits do not trim: planning relies on that.
+        t.apply_edit(&TemplateEdit::RemoveEntry { index: 2 })
+            .unwrap();
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn entry_accesses_include_the_kind_objects() {
+        let t = simple_template();
+        assert!(t.entries[0].writes_object(po(1)));
+        assert!(!t.entries[0].reads_object(po(1)));
+        assert!(t.entries[1].reads_object(po(2)));
+        assert!(t.entries[1].writes_object(po(3)));
+        let send = SkeletonEntry::new(SkeletonKind::SendCopy {
+            from: po(9),
+            to_worker: WorkerId(1),
+            transfer_slot: 0,
+        });
+        assert!(send.reads_object(po(9)), "without an explicit read set");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use nimbus_core::ids::WorkerId;
 use nimbus_core::ControlPlaneStats;
 use nimbus_driver::Session;
 use nimbus_net::{DeliveryHook, HookWake, LatencyModel, Network, NodeId};
-use nimbus_runtime::quickstart::{quickstart_driver, quickstart_setup};
+use nimbus_runtime::quickstart::quickstart_setup;
 use nimbus_worker::{
     DataFactoryRegistry, FunctionRegistry, ObjectVault, Worker, WorkerConfig, WorkerStats,
 };
@@ -171,15 +171,14 @@ impl SimCluster {
         );
 
         for (client, endpoint) in (1..=scenario.jobs).zip(client_endpoints) {
-            let iterations = scenario.iterations;
+            let scenario = scenario.clone();
             let clock = cluster.clock.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("sim-driver-{client}"))
                 .spawn(move || -> Result<Vec<f64>, String> {
                     let mut session =
                         Session::connect_with_clock(endpoint, clock).map_err(|e| e.to_string())?;
-                    let totals =
-                        quickstart_driver(&mut session, iterations).map_err(|e| e.to_string())?;
+                    let totals = scenario.drive(&mut session).map_err(|e| e.to_string())?;
                     session.close().map_err(|e| e.to_string())?;
                     Ok(totals)
                 })

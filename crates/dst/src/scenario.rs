@@ -2,7 +2,10 @@
 //!
 //! Every scenario runs the quickstart workload (whose totals follow the
 //! closed form `(i + 1) * PARTITIONS * PARTITION_LEN`), so a simulated run
-//! is validated against *exact* expected bytes, not a tolerance. Any fault
+//! is validated against *exact* expected bytes, not a tolerance. The
+//! `migrate-churn` scenario runs it with an independent block in front and
+//! `migrate_tasks` on both blocks every iteration — twice the adds, same
+//! closed form times two. Any fault
 //! plan a scenario generates must leave those outputs untouched — worker
 //! kills, rejoins, and link delays are all events the control plane claims
 //! to absorb — with the single exception of a dropped driver, whose own job
@@ -11,9 +14,12 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
+use nimbus_core::appdata::{Scalar, VecF64};
 use nimbus_core::ids::WorkerId;
+use nimbus_core::TaskParams;
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_net::NodeId;
-use nimbus_runtime::quickstart::{PARTITIONS, PARTITION_LEN};
+use nimbus_runtime::quickstart::{quickstart_driver, ADD, PARTITIONS, PARTITION_LEN, SUM};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +50,9 @@ pub struct Scenario {
     pub allow_kills: bool,
     /// Whether generated plans may drop driver jobs.
     pub allow_drops: bool,
+    /// Whether the driver moves tasks around while it runs (see
+    /// [`Scenario::drive`]).
+    pub migrations: bool,
 }
 
 impl Scenario {
@@ -58,6 +67,7 @@ impl Scenario {
             rejoin_grace: Some(Duration::from_millis(50)),
             allow_kills: true,
             allow_drops: false,
+            migrations: false,
         }
     }
 
@@ -73,6 +83,7 @@ impl Scenario {
             rejoin_grace: Some(Duration::from_millis(50)),
             allow_kills: false,
             allow_drops: true,
+            migrations: false,
         }
     }
 
@@ -87,12 +98,37 @@ impl Scenario {
             rejoin_grace: Some(Duration::from_millis(100)),
             allow_kills: true,
             allow_drops: false,
+            migrations: false,
+        }
+    }
+
+    /// Three workers, tasks of an independent block and of the reduce block
+    /// migrated back and forth every iteration, and every plan kills one
+    /// worker and brings it back: in place within the grace window (its
+    /// edited templates are reinstalled) or, when it is late, as a new
+    /// member that `admit_worker` fills through the same move planner.
+    pub fn migrate_churn() -> Self {
+        Self {
+            name: "migrate-churn",
+            workers: 3,
+            jobs: 1,
+            iterations: 6,
+            checkpoint_every: Some(2),
+            rejoin_grace: Some(Duration::from_millis(100)),
+            allow_kills: true,
+            allow_drops: false,
+            migrations: true,
         }
     }
 
     /// Every scenario, in sweep order.
     pub fn all() -> Vec<Self> {
-        vec![Self::quickstart(), Self::multijob(), Self::churn()]
+        vec![
+            Self::quickstart(),
+            Self::multijob(),
+            Self::churn(),
+            Self::migrate_churn(),
+        ]
     }
 
     /// Looks a scenario up by name.
@@ -101,11 +137,51 @@ impl Scenario {
     }
 
     /// The exact totals every surviving job must fetch: iteration `i` totals
-    /// `(i + 1) * PARTITIONS * PARTITION_LEN`.
+    /// `(i + 1) * PARTITIONS * PARTITION_LEN`, times two where the driver
+    /// runs two adding blocks per iteration.
     pub fn expected_totals(&self) -> Vec<f64> {
+        let adds = if self.migrations { 2.0 } else { 1.0 };
         (1..=self.iterations)
-            .map(|i| f64::from(i) * f64::from(PARTITIONS) * PARTITION_LEN as f64)
+            .map(|i| adds * f64::from(i) * f64::from(PARTITIONS) * PARTITION_LEN as f64)
             .collect()
+    }
+
+    /// The driver program of one job: the quickstart, or with `migrations`
+    /// the quickstart preceded each iteration by an independent block
+    /// (`spread`: add 1.0 everywhere) and by `migrate_tasks(_, 2)` on both
+    /// blocks, so tasks — moved ones included — keep moving around the ring
+    /// of workers and back.
+    pub fn drive(&self, session: &mut Session) -> DriverResult<Vec<f64>> {
+        if !self.migrations {
+            return quickstart_driver(session, self.iterations);
+        }
+        let data: Dataset<VecF64> = session.define_dataset("data", PARTITIONS)?;
+        let total: Dataset<Scalar> = session.define_dataset("total", 1)?;
+        let add = |ctx: &mut Session| {
+            ctx.submit_stage(
+                StageSpec::new("add", ADD)
+                    .write(&data)
+                    .params(TaskParams::from_scalar(1.0)),
+            )
+        };
+        let mut totals = Vec::with_capacity(self.iterations as usize);
+        for i in 0..self.iterations {
+            if i > 0 {
+                session.migrate_tasks("spread", 2)?;
+                session.migrate_tasks("inner", 2)?;
+            }
+            session.block("spread", add)?;
+            session.block("inner", |ctx| {
+                add(ctx)?;
+                let mut sum = StageSpec::new("sum", SUM).partitions(1);
+                for p in 0..data.partitions {
+                    sum = sum.read_partition(&data, p);
+                }
+                ctx.submit_stage(sum.write_partition(&total, 0))
+            })?;
+            totals.push(session.fetch(&total, 0)?);
+        }
+        Ok(totals)
     }
 
     /// Generates a seeded fault plan consistent with this scenario's rules:
@@ -119,6 +195,15 @@ impl Scenario {
         let mut undropped: Vec<u32> = (1..=self.jobs).collect();
         let fault_count = rng.gen_range(0u32..6);
         let mut at: u64 = 0;
+        if self.migrations {
+            // Always one kill that comes back, early or late, on top of
+            // whatever else the plan draws.
+            at += rng.gen_range(40u64..200);
+            let victim = alive[rng.gen_range(0..alive.len())];
+            plan = plan.with_fault(at, FaultKind::Kill(victim));
+            at += rng.gen_range(5u64..200);
+            plan = plan.with_fault(at, FaultKind::Rejoin(victim));
+        }
         for _ in 0..fault_count {
             at += rng.gen_range(5u64..90);
             // Build the menu of currently legal fault kinds; always draw the

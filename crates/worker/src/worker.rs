@@ -126,6 +126,11 @@ pub struct Worker<E: TransportEndpoint = Endpoint> {
     vault: Arc<ObjectVault>,
     stats: WorkerStats,
     completion_batch: usize,
+    /// Data transfers the current burst of commands produced, per peer in
+    /// send order. They leave together — one `send_many`, on TCP one
+    /// `write(2)`, per peer — before a task starts, before completions are
+    /// reported, and at the end of the burst, whichever comes first.
+    outbound: Vec<(NodeId, Vec<Message>)>,
     running: bool,
     kill_switch: Option<Arc<AtomicBool>>,
     killed: bool,
@@ -148,6 +153,7 @@ impl<E: TransportEndpoint> Worker<E> {
             vault: config.vault,
             stats: WorkerStats::new(),
             completion_batch: config.completion_batch.max(1),
+            outbound: Vec::new(),
             running: true,
             kill_switch: config.kill_switch,
             killed: false,
@@ -252,9 +258,15 @@ impl<E: TransportEndpoint> Worker<E> {
                 break;
             };
             let command = self.jobs[job_index].queue.pop_ready().expect("has ready");
+            if command.kind.is_task() {
+                // A task may run long; peers must not wait it out for data
+                // that is already theirs.
+                self.flush_data();
+            }
             self.execute(job_index, command);
             executed += 1;
         }
+        self.flush_data();
         let idle = self.jobs.iter().all(|j| j.queue.is_idle());
         self.flush_all_completions(idle);
     }
@@ -475,18 +487,18 @@ impl<E: TransportEndpoint> Worker<E> {
                 let payload = DataPayload::Object(data);
                 self.stats.bytes_sent += payload.size() as u64;
                 self.stats.sends += 1;
-                let job = rt.job;
-                self.endpoint
-                    .send(
-                        NodeId::Worker(*to_worker),
-                        Message::Data(DataTransfer {
-                            job,
-                            transfer: *transfer,
-                            from_worker: self.id,
-                            payload,
-                        }),
-                    )
-                    .map_err(|e| WorkerError::Net(e.to_string()))
+                let message = Message::Data(DataTransfer {
+                    job: rt.job,
+                    transfer: *transfer,
+                    from_worker: self.id,
+                    payload,
+                });
+                let peer = NodeId::Worker(*to_worker);
+                match self.outbound.iter_mut().find(|(p, _)| *p == peer) {
+                    Some((_, messages)) => messages.push(message),
+                    None => self.outbound.push((peer, vec![message])),
+                }
+                Ok(())
             }
             CommandKind::ReceiveCopy { to, transfer, .. } => {
                 let payload = rt
@@ -548,6 +560,16 @@ impl<E: TransportEndpoint> Worker<E> {
         }
     }
 
+    /// Sends the buffered data transfers, one batch per peer.
+    fn flush_data(&mut self) {
+        for (peer, messages) in std::mem::take(&mut self.outbound) {
+            if let Err(e) = self.endpoint.send_many(peer, messages) {
+                self.stats
+                    .record_failure(format!("worker {}: data to {peer} failed: {e}", self.id));
+            }
+        }
+    }
+
     fn flush_all_completions(&mut self, force: bool) {
         for i in 0..self.jobs.len() {
             self.flush_completions(i, force);
@@ -565,6 +587,8 @@ impl<E: TransportEndpoint> Worker<E> {
         let job = rt.job;
         let commands = std::mem::take(&mut rt.completed);
         let compute_micros = std::mem::take(&mut rt.compute_micros);
+        // A send is reported complete only once its data is on the way.
+        self.flush_data();
         self.send_to_controller(WorkerToController::CommandsCompleted {
             job,
             worker: self.id,
@@ -937,6 +961,56 @@ mod tests {
         drive(&mut worker, 4);
         assert_eq!(worker.stats().template_instantiations, 1);
         assert_eq!(worker.stats().tasks_executed, 1);
+    }
+
+    /// The sends of one burst leave as one batch per peer, in order, and
+    /// ahead of the completion report that covers them.
+    #[test]
+    fn sends_of_one_burst_leave_as_one_batch_before_completions() {
+        let (net, controller, mut worker) = setup();
+        let peer = net.register(NodeId::Worker(WorkerId(1)));
+        let send = |id: u64, transfer: u64| {
+            Command::new(
+                CommandId(id),
+                CommandKind::SendCopy {
+                    from: PhysicalObjectId(10),
+                    to_worker: WorkerId(1),
+                    transfer: TransferId(transfer),
+                },
+            )
+            .with_before(vec![CommandId(1)])
+        };
+        controller
+            .send(
+                NodeId::Worker(WorkerId(0)),
+                exec(
+                    JOB,
+                    vec![
+                        create_cmd(1, 10, 1, 0),
+                        send(2, 70),
+                        send(3, 71),
+                        send(4, 72),
+                    ],
+                ),
+            )
+            .unwrap();
+        worker.step(Duration::from_millis(1));
+        let transfers: Vec<TransferId> = std::iter::from_fn(|| peer.try_recv().ok())
+            .map(|env| match env.message {
+                Message::Data(t) => t.transfer,
+                other => panic!("unexpected {:?}", other.tag()),
+            })
+            .collect();
+        assert_eq!(
+            transfers,
+            vec![TransferId(70), TransferId(71), TransferId(72)]
+        );
+        assert_eq!(worker.stats().sends, 3);
+        // One batched send of three messages (the in-process fabric mirrors
+        // the TCP batching counters), then the completion report.
+        assert_eq!(net.stats().batched_commands, 3);
+        assert_eq!(net.stats().frames_coalesced, 2);
+        assert!(controller.try_recv().is_ok(), "completions follow the data");
     }
 
     #[test]
