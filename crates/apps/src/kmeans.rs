@@ -9,7 +9,7 @@
 use nimbus_core::appdata::{Scalar, VecF64};
 use nimbus_core::ids::FunctionId;
 use nimbus_core::TaskParams;
-use nimbus_driver::{Dataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_runtime::AppSetup;
 
 use crate::data::{generate_clustered_partition, ClusterAccumulator, PointsPartition};
@@ -172,10 +172,7 @@ pub fn register(setup: &mut AppSetup, config: &KMeansConfig) {
 }
 
 /// Defines the job's datasets (must be the first datasets of the context).
-pub fn define_datasets(
-    ctx: &mut DriverContext,
-    config: &KMeansConfig,
-) -> DriverResult<KMeansDatasets> {
+pub fn define_datasets(ctx: &mut Session, config: &KMeansConfig) -> DriverResult<KMeansDatasets> {
     let groups = intermediate_partitions(config.partitions);
     Ok(KMeansDatasets {
         points: ctx.define_dataset("points", config.partitions)?,
@@ -189,7 +186,7 @@ pub fn define_datasets(
 
 /// Submits one clustering iteration as the "kmeans_iter" basic block.
 pub fn submit_iteration(
-    ctx: &mut DriverContext,
+    ctx: &mut Session,
     data: &KMeansDatasets,
     config: &KMeansConfig,
 ) -> DriverResult<()> {
@@ -223,7 +220,7 @@ pub fn submit_iteration(
 }
 
 /// Runs the clustering loop until the objective stops improving.
-pub fn run(ctx: &mut DriverContext, config: &KMeansConfig) -> DriverResult<KMeansResult> {
+pub fn run(ctx: &mut Session, config: &KMeansConfig) -> DriverResult<KMeansResult> {
     let data = define_datasets(ctx, config)?;
     let mut history = Vec::new();
     let mut previous = f64::MAX;

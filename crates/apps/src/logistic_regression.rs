@@ -10,7 +10,7 @@
 use nimbus_core::appdata::{Scalar, VecF64};
 use nimbus_core::ids::FunctionId;
 use nimbus_core::TaskParams;
-use nimbus_driver::{Dataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_runtime::AppSetup;
 
 use crate::data::{generate_classification_partition, PointsPartition};
@@ -199,7 +199,7 @@ pub fn register(setup: &mut AppSetup, config: &LogisticRegressionConfig) {
 /// factory registration in [`register`] assumes these are the first datasets
 /// defined).
 pub fn define_datasets(
-    ctx: &mut DriverContext,
+    ctx: &mut Session,
     config: &LogisticRegressionConfig,
 ) -> DriverResult<LrDatasets> {
     let groups = intermediate_partitions(config.partitions);
@@ -218,7 +218,7 @@ pub fn define_datasets(
 
 /// Submits one inner (gradient) iteration as the "lr_inner" basic block.
 pub fn submit_inner_block(
-    ctx: &mut DriverContext,
+    ctx: &mut Session,
     data: &LrDatasets,
     config: &LogisticRegressionConfig,
 ) -> DriverResult<()> {
@@ -254,7 +254,7 @@ pub fn submit_inner_block(
 
 /// Submits one outer (loss estimation) iteration as the "lr_outer" block.
 pub fn submit_outer_block(
-    ctx: &mut DriverContext,
+    ctx: &mut Session,
     data: &LrDatasets,
     _config: &LogisticRegressionConfig,
 ) -> DriverResult<()> {
@@ -279,7 +279,7 @@ pub fn submit_outer_block(
 }
 
 /// Runs the full nested-loop training job (Figure 3 of the paper).
-pub fn run(ctx: &mut DriverContext, config: &LogisticRegressionConfig) -> DriverResult<LrResult> {
+pub fn run(ctx: &mut Session, config: &LogisticRegressionConfig) -> DriverResult<LrResult> {
     let data = define_datasets(ctx, config)?;
     let mut loss_history = Vec::new();
     let mut previous_loss = f64::MAX;

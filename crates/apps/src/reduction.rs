@@ -9,7 +9,7 @@
 
 use nimbus_core::ids::FunctionId;
 use nimbus_core::TaskParams;
-use nimbus_driver::{AsDataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{AsDataset, DriverResult, Session, StageSpec};
 
 /// Returns the group size used for `partitions` inputs (√P rounded up).
 pub fn group_size(partitions: u32) -> u32 {
@@ -27,7 +27,7 @@ pub fn intermediate_partitions(partitions: u32) -> u32 {
 /// of inputs of the partial type and write their combination to its single
 /// write object.
 pub fn submit_two_level_reduce(
-    ctx: &mut DriverContext,
+    ctx: &mut Session,
     name: &str,
     reduce_fn: FunctionId,
     partials: &impl AsDataset,

@@ -24,7 +24,7 @@
 
 use nimbus_core::appdata::VecF64;
 use nimbus_core::{impl_app_data, TaskParams};
-use nimbus_driver::{Dataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_runtime::AppSetup;
 
 /// One horizontal slab of the simulation grid plus its particle set.
@@ -587,10 +587,7 @@ pub fn register(setup: &mut AppSetup, config: &WaterConfig) {
 
 /// Defines the simulation's datasets (must be the first datasets defined on
 /// the context).
-pub fn define_datasets(
-    ctx: &mut DriverContext,
-    config: &WaterConfig,
-) -> DriverResult<WaterDatasets> {
+pub fn define_datasets(ctx: &mut Session, config: &WaterConfig) -> DriverResult<WaterDatasets> {
     let slabs = config.slabs;
     let groups = crate::reduction::intermediate_partitions(slabs);
     Ok(WaterDatasets {
@@ -610,7 +607,7 @@ pub fn define_datasets(
 }
 
 /// Runs the triply nested simulation loop.
-pub fn run(ctx: &mut DriverContext, config: &WaterConfig) -> DriverResult<WaterResult> {
+pub fn run(ctx: &mut Session, config: &WaterConfig) -> DriverResult<WaterResult> {
     use stages::*;
     let data = define_datasets(ctx, config)?;
     let slabs = config.slabs;

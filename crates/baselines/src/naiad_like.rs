@@ -9,11 +9,11 @@
 //! re-installing it, which is what Table 3 and Figure 10 charge the
 //! distributed-dataflow design for.
 
-use nimbus_driver::{DriverContext, DriverError, DriverResult};
+use nimbus_driver::{DriverError, DriverResult, Session};
 
 /// A driver wrapper that enforces static-dataflow semantics.
 pub struct StaticDataflowDriver<'a> {
-    ctx: &'a mut DriverContext,
+    ctx: &'a mut Session,
     installed: Vec<String>,
     frozen: bool,
     /// Number of complete re-installations performed (each models the
@@ -23,7 +23,7 @@ pub struct StaticDataflowDriver<'a> {
 
 impl<'a> StaticDataflowDriver<'a> {
     /// Wraps a driver context.
-    pub fn new(ctx: &'a mut DriverContext) -> Self {
+    pub fn new(ctx: &'a mut Session) -> Self {
         Self {
             ctx,
             installed: Vec::new(),
@@ -33,7 +33,7 @@ impl<'a> StaticDataflowDriver<'a> {
     }
 
     /// Access to the underlying context for dataset definition and fetches.
-    pub fn ctx(&mut self) -> &mut DriverContext {
+    pub fn ctx(&mut self) -> &mut Session {
         self.ctx
     }
 
@@ -42,7 +42,7 @@ impl<'a> StaticDataflowDriver<'a> {
     pub fn run_block(
         &mut self,
         name: &str,
-        body: impl FnOnce(&mut DriverContext) -> DriverResult<()>,
+        body: impl FnOnce(&mut Session) -> DriverResult<()>,
     ) -> DriverResult<()> {
         if self.frozen && !self.installed.iter().any(|b| b == name) {
             return Err(DriverError::Misuse(format!(

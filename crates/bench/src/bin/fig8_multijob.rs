@@ -10,9 +10,8 @@
 //! the pool is worker- or CPU-bound.
 //!
 //! The cluster runs in-process with a fixed per-message latency emulating a
-//! datacenter network hop, in both control-plane modes (batched and
-//! per-message), for 1 and [`JOBS`] concurrent sessions. Results go to
-//! `BENCH_fig8_multijob.json`; the run asserts the acceptance floor —
+//! datacenter network hop, for 1 and [`JOBS`] concurrent sessions. Results
+//! go to `BENCH_fig8_multijob.json`; the run asserts the acceptance floor —
 //! aggregate throughput for 4 jobs at least 2x a single job.
 //!
 //! `--smoke` runs a small iteration count (the CI mode, so the binary
@@ -75,12 +74,9 @@ struct Run {
 
 /// Runs `jobs` concurrent sessions against one cluster and measures the
 /// aggregate completed-instantiation rate.
-fn run(label: &str, jobs: usize, batched: bool, iterations: u32) -> Run {
-    let mut config =
+fn run(label: &str, jobs: usize, iterations: u32) -> Run {
+    let config =
         ClusterConfig::new(WORKERS).with_latency(std::time::Duration::from_micros(LATENCY_MICROS));
-    if !batched {
-        config = config.with_per_message_control_plane();
-    }
     let mut cluster = Cluster::start(config, quickstart_setup());
     let mut sessions = Vec::with_capacity(jobs);
     for _ in 0..jobs {
@@ -123,20 +119,11 @@ fn main() {
     };
 
     let runs = [
-        run("1 job, per-message", 1, false, iterations),
-        run(
-            &format!("{JOBS} jobs, per-message"),
-            JOBS,
-            false,
-            iterations,
-        ),
-        run("1 job, batched", 1, true, iterations),
-        run(&format!("{JOBS} jobs, batched"), JOBS, true, iterations),
+        run("1 job", 1, iterations),
+        run(&format!("{JOBS} jobs"), JOBS, iterations),
     ];
-    let [single_permsg, multi_permsg, single_batched, multi_batched] = &runs;
-    let batched_scaling =
-        multi_batched.instantiations_per_sec / single_batched.instantiations_per_sec;
-    let permsg_scaling = multi_permsg.instantiations_per_sec / single_permsg.instantiations_per_sec;
+    let [single, multi] = &runs;
+    let scaling = multi.instantiations_per_sec / single.instantiations_per_sec;
 
     let mut rows: Vec<TableRow> = runs
         .iter()
@@ -149,14 +136,9 @@ fn main() {
         })
         .collect();
     rows.push(TableRow::new(
-        format!("{JOBS}-job/1-job scaling (batched)"),
+        format!("{JOBS}-job/1-job scaling"),
         ">=2x",
-        format!("{batched_scaling:.2}x"),
-    ));
-    rows.push(TableRow::new(
-        format!("{JOBS}-job/1-job scaling (per-message)"),
-        "-",
-        format!("{permsg_scaling:.2}x"),
+        format!("{scaling:.2}x"),
     ));
     print_table(
         &format!(
@@ -173,7 +155,7 @@ fn main() {
         .metric("latency_micros", LATENCY_MICROS)
         .metric("smoke", if smoke { 1.0 } else { 0.0 });
     for r in &runs {
-        let key = r.label.replace([' ', ',', '-'], "_").replace("__", "_");
+        let key = r.label.replace(' ', "_");
         json.push(format!("{key}_jobs"), r.jobs as u64);
         json.push(
             format!("{key}_instantiations_per_sec"),
@@ -182,8 +164,7 @@ fn main() {
         json.push(format!("{key}_tasks_per_sec"), r.tasks_per_sec);
         json.push(format!("{key}_seconds"), r.seconds);
     }
-    json.push("multi_over_single_batched", batched_scaling);
-    json.push("multi_over_single_per_message", permsg_scaling);
+    json.push("multi_over_single", scaling);
     let path = json.write_or_die();
     assert!(path.exists(), "JSON report missing after write");
 
@@ -200,7 +181,7 @@ fn main() {
     // aggregate rate of a single round-trip-bound job. The multi-tenant
     // control plane fills one session's stalls with the others' work.
     assert!(
-        batched_scaling >= 2.0,
-        "{JOBS} jobs only scaled aggregate throughput {batched_scaling:.2}x over one job"
+        scaling >= 2.0,
+        "{JOBS} jobs only scaled aggregate throughput {scaling:.2}x over one job"
     );
 }

@@ -52,7 +52,7 @@ pub struct BenchJson {
 }
 
 impl BenchJson {
-    /// Starts a report for the benchmark `name` (e.g. `"fig8_real"`).
+    /// Starts a report for the benchmark `name` (e.g. `"fig8_multijob"`).
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),

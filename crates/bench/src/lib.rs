@@ -6,9 +6,13 @@
 //! * Criterion benches (`benches/table{1,2,3}_*.rs`) measure the per-task
 //!   costs of template installation, instantiation, and edits on this
 //!   machine — the counterparts of Tables 1–3.
-//! * Figure binaries (`src/bin/fig*.rs`) run the cluster simulator (and,
-//!   where feasible, the real in-process runtime) to reproduce the shape of
-//!   Figures 1 and 7–11, printing paper-vs-reproduced values side by side.
+//! * Figure binaries (`src/bin/fig*.rs`) run the cluster simulator to
+//!   reproduce the shape of Figures 1, 7 and 9–11 at paper scale, printing
+//!   paper-vs-reproduced values side by side; `fig8_multijob` and
+//!   `fig9_rejoin_latency` run the real in-process runtime once.
+//!
+//! Throughput and latency of the real runtime (Figure 8's subject) are
+//! measured by the repository benchmark in `benchmark/`, not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -82,13 +82,6 @@ pub struct ControllerConfig {
     /// template re-recordings. `None` (the default) recovers immediately
     /// onto the survivors.
     pub rejoin_grace: Option<Duration>,
-    /// Whether hot-path sends (command dispatch and template instantiation)
-    /// are corked into one batched send per worker per flush (the default).
-    /// Disabled, the controller issues one transport send per message — the
-    /// pre-batching wire behavior the `fig8_real_throughput` bench measures
-    /// against. Message contents and per-worker ordering are identical
-    /// either way.
-    pub batch_sends: bool,
     /// Where the controller reads "now" for its timeout logic (rejoin-grace
     /// deadlines). [`Clock::Real`] in production; the deterministic
     /// simulation harness substitutes a scheduler-driven virtual clock so
@@ -105,7 +98,6 @@ impl ControllerConfig {
             enable_templates: true,
             checkpoint_every: None,
             rejoin_grace: None,
-            batch_sends: true,
             clock: Clock::Real,
         }
     }
@@ -268,8 +260,7 @@ impl JobState {
 
 /// Messages corked for one worker between flushes, plus how many commands
 /// of each job's `outstanding` they account for (so a failed flush can
-/// uncount them per job, matching the per-message path where a failed send
-/// was never counted).
+/// uncount them per job).
 struct WorkerOutbox {
     worker: WorkerId,
     messages: Vec<Message>,
@@ -318,8 +309,6 @@ pub struct Controller<E: TransportEndpoint = Endpoint> {
     had_session: bool,
     stats: ControlPlaneStats,
     running: bool,
-    /// Whether hot-path sends are corked into per-worker batches.
-    batch_sends: bool,
     /// The cork: per-worker message buffers filled by the dispatch helpers
     /// and flushed as one batched send per worker — at most one `write(2)`
     /// each on TCP — before the controller blocks for more traffic.
@@ -351,7 +340,6 @@ impl<E: TransportEndpoint> Controller<E> {
             had_session: false,
             stats: ControlPlaneStats::new(),
             running: true,
-            batch_sends: config.batch_sends,
             outbox: Vec::new(),
         }
     }
@@ -575,9 +563,8 @@ impl<E: TransportEndpoint> Controller<E> {
             None => {
                 // First contact from this driver node: open its session.
                 // An explicit `OpenJob` is the handshake; any other first
-                // message is the legacy implicit open (the `DriverContext`
-                // shim path), which works because `JobId(0)` resolves
-                // through this table.
+                // message is the implicit open (`Session::new`), which
+                // works because `JobId(0)` resolves through this table.
                 let id = JobId(self.job_ids.next_raw());
                 self.jobs.push(JobState::new(
                     id,
@@ -1601,17 +1588,18 @@ impl<E: TransportEndpoint> Controller<E> {
     // ------------------------------------------------------------------
 
     fn handle_worker(&mut self, msg: WorkerToController) {
-        match msg {
-            WorkerToController::CommandsCompleted {
-                job,
-                commands,
-                compute_micros,
-                ..
-            } => {
-                // The job may have closed while completions were in flight.
-                let Some(j) = self.job_index_by_id(job) else {
-                    return;
-                };
+        // The one job-table lookup: `None` for a job-agnostic message, and
+        // for a job that closed while the message was in flight.
+        let j = msg.job().and_then(|job| self.job_index_by_id(job));
+        match (msg, j) {
+            (
+                WorkerToController::CommandsCompleted {
+                    commands,
+                    compute_micros,
+                    ..
+                },
+                Some(j),
+            ) => {
                 let n = commands.len() as u64;
                 self.jobs[j].outstanding = self.jobs[j].outstanding.saturating_sub(n);
                 self.stats.computation_time += std::time::Duration::from_micros(compute_micros);
@@ -1619,26 +1607,29 @@ impl<E: TransportEndpoint> Controller<E> {
                     self.advance_sync(j);
                 }
             }
-            WorkerToController::TemplateInstalled { .. } => {}
-            WorkerToController::ValueFetched { job, value, .. } => {
-                let Some(j) = self.job_index_by_id(job) else {
-                    return;
-                };
+            (WorkerToController::ValueFetched { value, .. }, Some(j)) => {
                 if let PendingSync::FetchValue(partition) = self.jobs[j].sync {
                     self.jobs[j].sync = PendingSync::None;
                     self.reply(j, ControllerToDriver::ValueFetched { partition, value });
                 }
             }
-            WorkerToController::Halted { job, worker } => {
+            (WorkerToController::Halted { job, worker }, Some(j)) => {
                 if nimbus_core::debug_recovery() {
                     eprintln!("[halted] job={job} worker={worker}");
                 }
-                if let Some(j) = self.job_index_by_id(job) {
-                    self.note_halted(j, worker);
-                }
+                self.note_halted(j, worker);
             }
-            WorkerToController::Heartbeat { .. } => {}
-            WorkerToController::Register { worker } => self.handle_register(worker),
+            (WorkerToController::Register { worker }, _) => self.handle_register(worker),
+            (
+                WorkerToController::CommandsCompleted { .. }
+                | WorkerToController::ValueFetched { .. }
+                | WorkerToController::Halted { .. },
+                None,
+            )
+            | (
+                WorkerToController::TemplateInstalled { .. } | WorkerToController::Heartbeat { .. },
+                _,
+            ) => {}
         }
     }
 
@@ -2022,34 +2013,18 @@ impl<E: TransportEndpoint> Controller<E> {
     }
 
     /// Queues a hot-path message for `worker` on the cork, optimistically
-    /// accounting its `commands` into the owning job's `outstanding` (a
-    /// failed flush uncounts them). With batching disabled this degenerates
-    /// to the per-message path: one transport send, counted only on success
-    /// — a failed send means the worker just died, its transport disconnect
-    /// notice is (or shortly will be) in the inbox, and recovery rebuilds
-    /// this state wholesale; erroring the driver here would race that
-    /// notice, and not counting the commands keeps drains from wedging if
-    /// recovery is impossible.
+    /// accounting its `commands` into the owning job's `outstanding`. A
+    /// failed flush uncounts them: it means the worker just died, its
+    /// transport disconnect notice is (or shortly will be) in the inbox, and
+    /// recovery rebuilds this state wholesale; erroring the driver here
+    /// would race that notice, and not counting the commands keeps drains
+    /// from wedging if recovery is impossible.
     fn queue_worker(&mut self, j: usize, worker: WorkerId, msg: ControllerToWorker, commands: u64) {
         let job = self.jobs[j].id;
-        if !self.batch_sends {
-            match self.send_worker(worker, msg) {
-                Ok(()) if commands > 0 => {
-                    self.jobs[j].outstanding += commands;
-                    self.stats.commands_dispatched += commands;
-                }
-                Ok(()) => {}
-                Err(_) => {
-                    if commands > 0 {
-                        self.poison_pending_checkpoint(j);
-                    }
-                }
-            }
-            return;
-        }
+        debug_assert_eq!(msg.job(), Some(job), "corked messages are job-scoped");
         let message = Message::ToWorker(msg);
         let size = message.wire_size();
-        self.stats.record_message(message.tag(), size);
+        self.stats.record_message(message.tag().as_str(), size);
         if commands > 0 {
             self.jobs[j].outstanding += commands;
             self.stats.commands_dispatched += commands;
@@ -2086,10 +2061,9 @@ impl<E: TransportEndpoint> Controller<E> {
         }
     }
 
-    /// Uncounts the per-job commands of a failed flush, restoring the
-    /// per-message invariant that undeliverable commands never inflate
-    /// `outstanding` — and poisons any checkpoint those commands may have
-    /// been saving.
+    /// Uncounts the per-job commands of a failed flush, so undeliverable
+    /// commands never inflate `outstanding` — and poisons any checkpoint
+    /// those commands may have been saving.
     fn uncount(&mut self, commands: &[(JobId, u64)]) {
         for (job, n) in commands {
             if let Some(j) = self.jobs.iter().position(|x| x.id == *job) {
@@ -2159,7 +2133,7 @@ impl<E: TransportEndpoint> Controller<E> {
         self.flush_worker_outbox(worker);
         let message = Message::ToWorker(msg);
         self.stats
-            .record_message(message.tag(), message.wire_size());
+            .record_message(message.tag().as_str(), message.wire_size());
         self.endpoint
             .send(NodeId::Worker(worker), message)
             .map_err(|e| ControllerError::Net(e.to_string()))
@@ -2169,7 +2143,7 @@ impl<E: TransportEndpoint> Controller<E> {
         let driver = self.jobs[j].driver;
         let message = Message::ToDriver(msg);
         self.stats
-            .record_message(message.tag(), message.wire_size());
+            .record_message(message.tag().as_str(), message.wire_size());
         let _ = self.endpoint.send(driver, message);
     }
 }

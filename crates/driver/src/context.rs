@@ -10,9 +10,7 @@
 //! one message per task.
 //!
 //! Many sessions can be open against one controller at once — each is its
-//! own job, fully namespaced controller- and worker-side. [`DriverContext`]
-//! remains as a deprecated alias of [`Session`] so pre-session driver
-//! programs compile unchanged (they run as an implicitly opened session).
+//! own job, fully namespaced controller- and worker-side.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -141,13 +139,6 @@ pub struct Session {
     pub instantiations_sent: u64,
 }
 
-/// Deprecated alias of [`Session`].
-///
-/// The single-implicit-job `DriverContext` API predates multi-tenant
-/// sessions; it is kept so existing driver programs compile unchanged. New
-/// code should use [`Session::connect`] and hold a `Session`.
-pub type DriverContext = Session;
-
 impl Session {
     /// Creates an implicitly opened session over a registered driver
     /// endpoint (any transport). No handshake is performed: the controller
@@ -196,7 +187,7 @@ impl Session {
             }
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to open_job: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -217,7 +208,7 @@ impl Session {
             ControllerToDriver::JobTerminated => Ok(()),
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to close_job: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -281,7 +272,7 @@ impl Session {
             | ControllerToDriver::RecoveryComplete { .. } => Ok(()),
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to {what}: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -305,30 +296,16 @@ impl Session {
         name: &str,
         partitions: u32,
     ) -> DriverResult<Dataset<T>> {
-        Ok(Dataset::from_handle(
-            self.define_dataset_untyped(name, partitions)?,
-        ))
-    }
-
-    /// Defines a dataset without a compile-time partition type. Prefer
-    /// [`Session::define_dataset`]; this exists for generic infrastructure
-    /// (benchmark harnesses, baselines) that manufactures datasets
-    /// dynamically.
-    pub fn define_dataset_untyped(
-        &mut self,
-        name: &str,
-        partitions: u32,
-    ) -> DriverResult<DatasetHandle> {
         let id = LogicalObjectId(self.dataset_ids.next_raw());
         self.send(DriverMessage::DefineDataset(DatasetDef::new(
             id, name, partitions,
         )))?;
         self.expect_ack("define_dataset")?;
-        Ok(DatasetHandle {
+        Ok(Dataset::from_handle(DatasetHandle {
             id,
             name: name.to_string(),
             partitions,
-        })
+        }))
     }
 
     /// Submits one stage: expands it into one task per partition.
@@ -492,7 +469,7 @@ impl Session {
             ControllerToDriver::ValueFetched { value, .. } => Ok(value),
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to fetch: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -546,7 +523,7 @@ impl Session {
             ControllerToDriver::RecoveryComplete { marker } => Ok(marker),
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to fail_worker: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -560,7 +537,7 @@ impl Session {
             ControllerToDriver::JobTerminated => Ok(()),
             other => Err(DriverError::Controller(format!(
                 "unexpected reply to shutdown: {}",
-                other.tag()
+                other.tag().as_str()
             ))),
         }
     }
@@ -652,7 +629,7 @@ mod tests {
     fn legacy_context_is_an_implicit_session() {
         let network = Network::new(LatencyModel::None);
         let controller = ack_controller(&network);
-        let mut ctx = DriverContext::new(network.register(NodeId::Driver));
+        let mut ctx = Session::new(network.register(NodeId::Driver));
         assert_eq!(ctx.job(), JobId(0));
         ctx.barrier().unwrap();
         ctx.shutdown().unwrap();

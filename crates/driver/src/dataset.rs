@@ -1,10 +1,10 @@
 //! Typed datasets: the compile-time layer over [`DatasetHandle`].
 //!
 //! A [`Dataset<T>`] remembers the application data type its partitions hold.
-//! Defining a dataset with [`DriverContext::define_dataset::<T>`] makes the
+//! Defining a dataset with [`Session::define_dataset::<T>`] makes the
 //! partition type part of the driver's vocabulary:
 //!
-//! * the driver can only [`DriverContext::fetch`] convergence scalars from
+//! * the driver can only [`Session::fetch`] convergence scalars from
 //!   datasets whose type is [`ScalarReadable`] (checked at compile time),
 //! * `T` documents — and typed code over the dataset enforces — the type
 //!   task functions downcast to with `read::<T>` / `write::<T>`.
@@ -13,15 +13,13 @@
 //! positional: dataset ids are assigned in definition order, and a mismatch
 //! surfaces as a runtime downcast error inside task functions.
 //!
-//! Untyped [`DatasetHandle`]s remain available (via
-//! [`DriverContext::define_dataset_untyped`]) for generic infrastructure such
-//! as the benchmark harness; every stage-builder and fetch API accepts both
-//! through the [`AsDataset`] trait.
+//! The untyped [`DatasetHandle`] underneath stays reachable (through
+//! [`Dataset::handle`]) for generic infrastructure such as the benchmark
+//! harness; every stage-builder and fetch API accepts both through the
+//! [`AsDataset`] trait.
 //!
-//! [`DriverContext`]: crate::context::DriverContext
-//! [`DriverContext::define_dataset::<T>`]: crate::context::DriverContext::define_dataset
-//! [`DriverContext::fetch`]: crate::context::DriverContext::fetch
-//! [`DriverContext::define_dataset_untyped`]: crate::context::DriverContext::define_dataset_untyped
+//! [`Session::define_dataset::<T>`]: crate::context::Session::define_dataset
+//! [`Session::fetch`]: crate::context::Session::fetch
 
 use std::marker::PhantomData;
 
@@ -42,10 +40,10 @@ pub struct Dataset<T: AppData> {
 impl<T: AppData> Dataset<T> {
     /// Wraps an untyped handle, asserting its partitions hold `T`.
     ///
-    /// This is the escape hatch for code that obtained a handle through the
-    /// untyped API; [`DriverContext::define_dataset`] is the checked path.
+    /// This is the escape hatch for code that holds a bare handle;
+    /// [`Session::define_dataset`] is the checked path.
     ///
-    /// [`DriverContext::define_dataset`]: crate::context::DriverContext::define_dataset
+    /// [`Session::define_dataset`]: crate::context::Session::define_dataset
     pub fn from_handle(handle: DatasetHandle) -> Self {
         Self {
             handle,

@@ -6,8 +6,7 @@
 //! (convergence loops, error thresholds) is expressed with ordinary Rust
 //! `while`/`if` around [`Session::fetch_scalar`] — exactly the structure of
 //! Figure 3 in the paper. Many sessions can run concurrently against one
-//! controller; each is its own isolated job. [`DriverContext`] remains as a
-//! deprecated alias of [`Session`] for pre-session driver programs.
+//! controller; each is its own isolated job.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -17,7 +16,7 @@ pub mod dataset;
 pub mod error;
 pub mod stage;
 
-pub use context::{DatasetHandle, DriverContext, Session};
+pub use context::{DatasetHandle, Session};
 pub use dataset::{AsDataset, Dataset, ScalarReadable};
 pub use error::{DriverError, DriverResult};
 pub use stage::{PartitionMapping, StageAccess, StageParams, StageSpec};

@@ -48,7 +48,7 @@ impl StageParams {
 }
 
 /// A declarative description of one stage, built by the driver and expanded
-/// into tasks by [`crate::context::DriverContext::submit_stage`].
+/// into tasks by [`crate::context::Session::submit_stage`].
 pub struct StageSpec {
     /// Human-readable stage name (stable across iterations of a block).
     pub name: String,

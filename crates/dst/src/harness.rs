@@ -400,7 +400,7 @@ impl SimCluster {
             self.scheduler.with_state(|st| {
                 let envelope = st.pop_link(link).expect("eligible link was empty");
                 let (from, to) = (envelope.from, envelope.to);
-                let tag = envelope.message.tag();
+                let tag = envelope.message.tag().as_str();
                 // Safe under the scheduler lock: every other thread that
                 // touches the sender map is parked at quiescence, and the
                 // map's writers all run on this harness thread.

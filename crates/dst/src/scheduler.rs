@@ -291,7 +291,7 @@ impl SchedState {
                     self.events.push(TraceEvent::DroppedDeadDestination {
                         from: env.from,
                         to: env.to,
-                        tag: env.message.tag(),
+                        tag: env.message.tag().as_str(),
                     });
                 }
             }
@@ -315,7 +315,7 @@ impl SchedState {
                     self.events.push(TraceEvent::DroppedDeadDestination {
                         from: env.from,
                         to: env.to,
-                        tag: env.message.tag(),
+                        tag: env.message.tag().as_str(),
                     });
                 }
             }
@@ -377,7 +377,7 @@ impl DeliveryHook for SimScheduler {
             st.events.push(TraceEvent::DroppedFromSevered {
                 from: envelope.from,
                 to: envelope.to,
-                tag: envelope.message.tag(),
+                tag: envelope.message.tag().as_str(),
             });
             return Ok(());
         }

@@ -1,6 +1,5 @@
 //! Workspace layout and per-rule policy: what gets scanned, where
-//! wall-clock time is legitimate, which modules are panic-free zones, and
-//! which protocol variants are deliberately job-agnostic.
+//! wall-clock time is legitimate, and which modules are panic-free zones.
 //!
 //! Policy lives here — in one reviewed file — rather than scattered across
 //! rule implementations, so loosening it is a visible diff.
@@ -59,53 +58,6 @@ pub const PANIC_FREE: &[(&str, bool)] = &[
     ("crates/net/src/codec.rs", true),
     ("crates/net/src/framing.rs", true),
 ];
-
-/// Command-stream variants that deliberately carry no `job` field:
-/// worker-lifecycle messages that are about the worker itself, not any one
-/// job. Every other `ControllerToWorker`/`WorkerToController` variant must
-/// have a `job` field (the multi-tenant scoping invariant from PR 4).
-pub const JOB_AGNOSTIC: &[(&str, &str, &str)] = &[
-    (
-        "ControllerToWorker",
-        "RejoinAccepted",
-        "carries per-job version state for every job via its `jobs` field",
-    ),
-    (
-        "ControllerToWorker",
-        "Shutdown",
-        "terminates the worker process itself, across all jobs",
-    ),
-    (
-        "WorkerToController",
-        "Register",
-        "a worker joins the cluster before it belongs to any job",
-    ),
-    (
-        "WorkerToController",
-        "Heartbeat",
-        "liveness is a property of the worker, not of a job",
-    ),
-];
-
-/// Wire-layer file locations cross-checked by the wire lint.
-pub struct WirePaths {
-    /// The protocol enums.
-    pub message: &'static str,
-    /// The `TAGS` table and `tag_index`.
-    pub stats: &'static str,
-    /// Golden vector directory.
-    pub vectors_dir: &'static str,
-    /// The vector harness (declares `MESSAGE_VARIANTS`).
-    pub vectors_rs: &'static str,
-}
-
-/// The wire lint's fixed inputs.
-pub const WIRE: WirePaths = WirePaths {
-    message: "crates/net/src/message.rs",
-    stats: "crates/net/src/stats.rs",
-    vectors_dir: "crates/net/tests/vectors",
-    vectors_rs: "crates/net/tests/vectors.rs",
-};
 
 /// True when the workspace-relative path is excluded from scanning.
 pub fn is_excluded(rel: &str) -> bool {

@@ -1,17 +1,22 @@
 //! `nimbus-lint`: workspace static analysis for the runtime's own
 //! invariants.
 //!
-//! Five domain lints run over every workspace source file on each
+//! Three domain lints run over every workspace source file on each
 //! invocation (`cargo run -p nimbus-lint`, the `workspace_clean` tier-1
 //! test, and the CI `lint` job):
 //!
 //! | rule         | invariant                                                    |
 //! |--------------|--------------------------------------------------------------|
 //! | `clock`      | no wall-clock reads outside `Clock` + allowlist              |
-//! | `wire`       | enums, `TAGS`, `tag_index`, match arms, vectors in lockstep  |
-//! | `job-scope`  | command-stream variants carry a `job: JobId` field           |
 //! | `lock-order` | no cycles in the "acquired while held" graph                 |
 //! | `panic`      | no `unwrap`/`expect`/indexing in designated hot modules      |
+//!
+//! Two earlier rules are gone because the type system now holds what they
+//! checked: `wire` (message enums, tag table and golden vectors in
+//! lockstep) became `nimbus_net::Tag`, declared once, with exhaustive
+//! `tag()` matches and the vector census test in `nimbus-net`; `job-scope`
+//! (command-stream variants carry a job) became the wildcard-free `job()`
+//! on `ControllerToWorker` and `WorkerToController`.
 //!
 //! A finding can be waived in place with a comment on the same or the
 //! preceding line — `nimbus-lint: allow(<rule>) — <reason>` (`--` works
@@ -25,12 +30,10 @@ use std::path::Path;
 
 pub mod clock;
 pub mod config;
-pub mod job_scope;
 pub mod locks;
 pub mod panic_free;
 pub mod report;
 pub mod scanner;
-pub mod wire;
 
 pub use report::{Diagnostic, LintReport, Rule};
 use scanner::ScannedFile;
@@ -53,56 +56,6 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
         panic_free::check(file, rel, &mut diags);
     }
 
-    // Protocol rules, anchored to the wire-layer files.
-    let by_rel = |rel: &str| rels.iter().position(|r| r == rel).map(|i| &scanned[i]);
-    match by_rel(config::WIRE.message) {
-        Some(message) => job_scope::check(message, config::WIRE.message, &mut diags),
-        None => diags.push(Diagnostic::new(
-            Rule::JobScope,
-            config::WIRE.message,
-            0,
-            "message definitions file not found".to_string(),
-        )),
-    }
-    match (
-        by_rel(config::WIRE.message),
-        by_rel(config::WIRE.stats),
-        by_rel(config::WIRE.vectors_rs),
-    ) {
-        (Some(message), Some(stats), Some(vectors_rs)) => {
-            let mut vector_files: Vec<String> =
-                std::fs::read_dir(root.join(config::WIRE.vectors_dir))
-                    .map(|entries| {
-                        entries
-                            .filter_map(|e| e.ok())
-                            .map(|e| e.file_name().to_string_lossy().into_owned())
-                            .collect()
-                    })
-                    .unwrap_or_default();
-            vector_files.sort();
-            // The rule needs workspace-relative spans; rebuild the parsed
-            // views against relative paths.
-            let message = reanchor(message, config::WIRE.message);
-            let stats = reanchor(stats, config::WIRE.stats);
-            let vectors_rs = reanchor(vectors_rs, config::WIRE.vectors_rs);
-            wire::check(
-                &wire::WireSources {
-                    message: &message,
-                    stats: &stats,
-                    vectors_rs: &vectors_rs,
-                    vector_files,
-                },
-                &mut diags,
-            );
-        }
-        _ => diags.push(Diagnostic::new(
-            Rule::Wire,
-            config::WIRE.message,
-            0,
-            "wire-layer sources not found (message.rs / stats.rs / vectors.rs)".to_string(),
-        )),
-    }
-
     // Whole-workspace lock-order analysis.
     let lock_sites = locks::check(&scanned, &rels, &mut diags);
 
@@ -117,12 +70,6 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
     };
     report.diagnostics.shrink_to_fit();
     Ok(report)
-}
-
-/// Re-scans a file under a workspace-relative path so rule spans are
-/// relative (the orchestrator reads files by absolute path).
-fn reanchor(file: &ScannedFile, rel: &str) -> ScannedFile {
-    ScannedFile::new(rel.into(), file.raw.clone())
 }
 
 /// Applies `nimbus-lint: allow(<rule>) — <reason>` comments: a waiver on

@@ -14,10 +14,6 @@ use std::path::Path;
 pub enum Rule {
     /// Wall-clock reads outside the `Clock` abstraction.
     Clock,
-    /// `Message` enums vs `TAGS` vs golden vectors vs codec arms.
-    Wire,
-    /// Command-stream variants must carry a `job` field.
-    JobScope,
     /// Cycles in the inter-function lock acquisition graph.
     LockOrder,
     /// `unwrap`/`expect`/indexing in designated hot modules.
@@ -31,8 +27,6 @@ impl Rule {
     pub fn slug(self) -> &'static str {
         match self {
             Rule::Clock => "clock",
-            Rule::Wire => "wire",
-            Rule::JobScope => "job-scope",
             Rule::LockOrder => "lock-order",
             Rule::Panic => "panic",
             Rule::Waiver => "waiver",
@@ -40,15 +34,8 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 6] {
-        [
-            Rule::Clock,
-            Rule::Wire,
-            Rule::JobScope,
-            Rule::LockOrder,
-            Rule::Panic,
-            Rule::Waiver,
-        ]
+    pub fn all() -> [Rule; 4] {
+        [Rule::Clock, Rule::LockOrder, Rule::Panic, Rule::Waiver]
     }
 }
 
@@ -59,7 +46,7 @@ pub struct Diagnostic {
     pub rule: Rule,
     /// Workspace-relative path.
     pub file: String,
-    /// 1-based line (0 for whole-file findings such as a missing vector).
+    /// 1-based line.
     pub line: usize,
     /// Human explanation of what is wrong and what to do about it.
     pub message: String,
@@ -84,13 +71,9 @@ impl Diagnostic {
         }
     }
 
-    /// `file:line` (or just `file` for whole-file findings).
+    /// `file:line`.
     pub fn span(&self) -> String {
-        if self.line == 0 {
-            self.file.clone()
-        } else {
-            format!("{}:{}", self.file, self.line)
-        }
+        format!("{}:{}", self.file, self.line)
     }
 }
 
@@ -237,13 +220,13 @@ mod tests {
             ..LintReport::default()
         };
         r.diagnostics.push(Diagnostic::new(
-            Rule::Wire,
-            "net/src/stats.rs",
-            0,
-            "tag \"x\\y\" missing",
+            Rule::Panic,
+            "net/src/codec.rs",
+            4,
+            "index \"x\\y\" unchecked",
         ));
         let j = r.to_json();
-        assert!(j.contains("\"rule\": \"wire\""));
+        assert!(j.contains("\"rule\": \"panic\""));
         assert!(j.contains("\\\"x\\\\y\\\""));
         assert!(j.contains("\"failing\": 1"));
         assert!(j.contains("\"waived\": null"));

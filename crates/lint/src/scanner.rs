@@ -1,7 +1,7 @@
 //! A small hand-rolled Rust token scanner.
 //!
 //! The lints in this crate do not need a full parser — they need reliable
-//! answers to four questions about a source file:
+//! answers to three questions about a source file:
 //!
 //! 1. *Is this byte inside a comment or a string literal?* ([`strip`]
 //!    blanks both out, preserving byte offsets and line structure, so a
@@ -11,9 +11,7 @@
 //!    segments items with brace matching and records test-module spans, so
 //!    rules can attribute findings to `Type::method` and skip
 //!    `#[cfg(test)]` code when a rule only governs product code.)
-//! 3. *What variants (and fields) does this enum declare?*
-//!    ([`parse_enums`], used by the wire and job-scoping lints.)
-//! 4. *Has a human waived this finding?* ([`ScannedFile::waivers`] parses
+//! 3. *Has a human waived this finding?* ([`ScannedFile::waivers`] parses
 //!    `// nimbus-lint: allow(<rule>) — <reason>` comments; an empty reason
 //!    is itself a diagnostic.)
 //!
@@ -22,24 +20,23 @@
 
 use std::path::PathBuf;
 
-/// Which byte classes [`strip`] blanks out (delimiters are always kept so
-/// token boundaries survive).
+/// Whether [`strip`] blanks comments as well as string contents (string
+/// contents always go; delimiters are always kept so token boundaries
+/// survive).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Blank comments *and* string contents: the token-search view.
+    /// Blank comments too: the token-search view.
     Tokens,
-    /// Blank comments, keep string contents: the enum/match parsing view.
-    Code,
-    /// Keep comments, blank string contents: the waiver-parsing view (a
-    /// waiver is a comment; waiver-shaped text inside a string literal —
-    /// e.g. in this crate's own tests — must not count).
+    /// Keep comments: the waiver-parsing view (a waiver is a comment;
+    /// waiver-shaped text inside a string literal — e.g. in this crate's
+    /// own tests — must not count).
     Comments,
 }
 
-/// Replaces comments (line, nested block) and optionally string contents
-/// with spaces, byte for byte: the result has exactly the same length and
-/// newline positions as the input, so offsets and line numbers computed on
-/// one apply to the other.
+/// Replaces string contents and, in [`Mode::Tokens`], comments (line and
+/// nested block) with spaces, byte for byte: the result has exactly the same
+/// length and newline positions as the input, so offsets and line numbers
+/// computed on one apply to the other.
 ///
 /// Handles line comments, nested block comments, string literals with
 /// escapes, raw strings (`r"…"`, `r#"…"#`, any number of `#`s), byte and
@@ -124,11 +121,7 @@ pub fn strip(source: &str, mode: Mode) -> String {
                         }
                     };
                     out.extend_from_slice(&b[i..content_start]);
-                    if mode == Mode::Code {
-                        out.extend_from_slice(&b[content_start..close]);
-                    } else {
-                        blank(&mut out, b, content_start, close);
-                    }
+                    blank(&mut out, b, content_start, close);
                     let end = (close + 1 + hashes).min(b.len());
                     out.extend_from_slice(&b[close.min(b.len())..end]);
                     i = end;
@@ -149,11 +142,7 @@ pub fn strip(source: &str, mode: Mode) -> String {
             }
             let close = j.min(b.len());
             out.extend_from_slice(&b[i..open + 1]);
-            if mode == Mode::Code {
-                out.extend_from_slice(&b[open + 1..close]);
-            } else {
-                blank(&mut out, b, open + 1, close);
-            }
+            blank(&mut out, b, open + 1, close);
             if close < b.len() {
                 out.push(b'"');
             }
@@ -237,26 +226,6 @@ impl Function {
     }
 }
 
-/// One enum variant: its name and named-field list (empty for tuple/unit).
-#[derive(Clone, Debug)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// Named fields, in declaration order (empty for tuple/unit variants).
-    pub fields: Vec<String>,
-    /// Byte offset of the variant name (span anchor).
-    pub start: usize,
-}
-
-/// A parsed `enum` item.
-#[derive(Clone, Debug)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// Variants in declaration order.
-    pub variants: Vec<Variant>,
-}
-
 /// A waiver comment: `// nimbus-lint: allow(<rule>) — <reason>`.
 #[derive(Clone, Debug)]
 pub struct Waiver {
@@ -276,8 +245,6 @@ pub struct ScannedFile {
     pub raw: String,
     /// Comments and string contents blanked (token-search view).
     pub stripped: String,
-    /// Comments blanked, string contents kept (enum/match parsing view).
-    pub code: String,
     line_starts: Vec<usize>,
 }
 
@@ -285,7 +252,6 @@ impl ScannedFile {
     /// Scans a file's contents.
     pub fn new(path: PathBuf, raw: String) -> Self {
         let stripped = strip(&raw, Mode::Tokens);
-        let code = strip(&raw, Mode::Code);
         let mut line_starts = vec![0usize];
         for (i, b) in raw.bytes().enumerate() {
             if b == b'\n' {
@@ -296,7 +262,6 @@ impl ScannedFile {
             path,
             raw,
             stripped,
-            code,
             line_starts,
         }
     }
@@ -496,7 +461,7 @@ fn find_at_depth(b: &[u8], from: usize, target: u8) -> Option<usize> {
 
 /// Given the offset of an opening `{`, returns the offset of its matching
 /// `}` (operating on stripped source, so braces in strings don't count).
-pub fn match_brace(b: &[u8], open: usize) -> Option<usize> {
+fn match_brace(b: &[u8], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     for (i, &c) in b.iter().enumerate().skip(open) {
         match c {
@@ -511,240 +476,6 @@ pub fn match_brace(b: &[u8], open: usize) -> Option<usize> {
         }
     }
     None
-}
-
-/// Parses every `enum` in a file's `code` view (comments blanked, strings
-/// kept): variant names, named fields, and spans.
-pub fn parse_enums(file: &ScannedFile) -> Vec<EnumDef> {
-    let src = &file.code;
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while let Some(pos) = find_keyword(src, i, "enum") {
-        i = pos + 4;
-        let mut j = pos + 4;
-        while j < b.len() && b[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let name_start = j;
-        while j < b.len() && is_ident_byte(b[j]) {
-            j += 1;
-        }
-        if j == name_start {
-            continue;
-        }
-        let name = src[name_start..j].to_string();
-        let Some(open) = find_at_depth(b, j, b'{') else {
-            continue;
-        };
-        let Some(close) = match_brace(b, open) else {
-            continue;
-        };
-        let variants = parse_variants(src, open + 1, close);
-        out.push(EnumDef { name, variants });
-    }
-    out
-}
-
-fn parse_variants(src: &str, from: usize, to: usize) -> Vec<Variant> {
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = from;
-    while i < to {
-        // Skip whitespace and attributes.
-        while i < to && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        while i < to && b[i] == b'#' {
-            // Attribute: skip the bracketed group.
-            let Some(open) = find_at_depth(b, i, b'[') else {
-                return out;
-            };
-            let mut depth = 0usize;
-            let mut j = open;
-            while j < to {
-                match b[j] {
-                    b'[' => depth += 1,
-                    b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            i = j + 1;
-            while i < to && b[i].is_ascii_whitespace() {
-                i += 1;
-            }
-        }
-        if i >= to {
-            break;
-        }
-        // Variant name.
-        let name_start = i;
-        while i < to && is_ident_byte(b[i]) {
-            i += 1;
-        }
-        if i == name_start {
-            i += 1;
-            continue;
-        }
-        let name = src[name_start..i].to_string();
-        while i < to && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let mut fields = Vec::new();
-        match b.get(i) {
-            Some(b'{') => {
-                let close = match_brace(b, i).unwrap_or(to).min(to);
-                fields = parse_named_fields(src, i + 1, close);
-                i = close + 1;
-            }
-            Some(b'(') => {
-                // Tuple variant: skip the balanced parens.
-                let mut depth = 0usize;
-                while i < to {
-                    match b[i] {
-                        b'(' => depth += 1,
-                        b')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                i += 1;
-            }
-            _ => {}
-        }
-        out.push(Variant {
-            name,
-            fields,
-            start: name_start,
-        });
-        // Skip to the next top-level comma.
-        while i < to && b[i] != b',' {
-            i += 1;
-        }
-        i += 1;
-    }
-    out
-}
-
-fn parse_named_fields(src: &str, from: usize, to: usize) -> Vec<String> {
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = from;
-    let mut depth = 0usize;
-    while i < to {
-        match b[i] {
-            b'<' | b'(' | b'[' => depth += 1,
-            b'>' | b')' | b']' => depth = depth.saturating_sub(1),
-            b':' if depth == 0 => {
-                // Walk back over the field name.
-                let mut j = i;
-                while j > from && b[j - 1].is_ascii_whitespace() {
-                    j -= 1;
-                }
-                let end = j;
-                while j > from && is_ident_byte(b[j - 1]) {
-                    j -= 1;
-                }
-                if j < end {
-                    out.push(src[j..end].to_string());
-                }
-                // Skip the type up to the next top-level comma.
-                let mut d = 0usize;
-                while i < to {
-                    match b[i] {
-                        b'<' | b'(' | b'[' => d += 1,
-                        b'>' | b')' | b']' => d = d.saturating_sub(1),
-                        b',' if d == 0 => break,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Parses `Enum::Variant … => "literal"` match arms anywhere in a text
-/// region (the `code` view). Returns `(variant, literal)` pairs for arms of
-/// the named enum.
-pub fn parse_tag_arms(region: &str, enum_name: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let needle = format!("{enum_name}::");
-    let b = region.as_bytes();
-    let mut i = 0;
-    while let Some(pos) = region[i..].find(&needle).map(|p| p + i) {
-        i = pos + needle.len();
-        let mut j = i;
-        while j < b.len() && is_ident_byte(b[j]) {
-            j += 1;
-        }
-        let variant = region[i..j].to_string();
-        // Skip an optional pattern body `{ .. }` or `( .. )`.
-        let mut k = j;
-        while k < b.len() && b[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        match b.get(k) {
-            Some(b'{') => {
-                if let Some(c) = match_brace(b, k) {
-                    k = c + 1;
-                }
-            }
-            Some(b'(') => {
-                let mut depth = 0usize;
-                while k < b.len() {
-                    match b[k] {
-                        b'(' => depth += 1,
-                        b')' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                k += 1;
-            }
-            _ => {}
-        }
-        while k < b.len() && (b[k].is_ascii_whitespace() || b[k] == b'|') {
-            k += 1;
-        }
-        if !region[k..].starts_with("=>") {
-            continue;
-        }
-        k += 2;
-        while k < b.len() && b[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        if b.get(k) == Some(&b'"') {
-            let end = region[k + 1..].find('"').map(|p| p + k + 1);
-            if let Some(end) = end {
-                out.push((variant, region[k + 1..end].to_string()));
-            }
-        } else {
-            // Non-literal arm (e.g. `msg.tag()`); record with empty tag so
-            // coverage checks still see the variant.
-            out.push((variant, String::new()));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -793,14 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn strip_keeps_strings_when_asked() {
-        let src = "m! { A::B => \"tag\" } // comment";
-        let s = strip(src, Mode::Code);
-        assert!(s.contains("\"tag\""));
-        assert!(!s.contains("comment"));
-    }
-
-    #[test]
     fn strip_distinguishes_chars_and_lifetimes() {
         let src = "fn f<'a>(x: &'a str) { let c = '\"'; let d = 'x'; }";
         let s = strip(src, Mode::Tokens);
@@ -833,40 +556,6 @@ mod tests {
         assert!(!by_name["prod"]);
         assert!(by_name["helper"]);
         assert!(by_name["case"]);
-    }
-
-    #[test]
-    fn enums_parse_variants_and_named_fields() {
-        let src = "pub enum M { Unit, Tup(u8, String), Named { job: JobId, n: Vec<u8> }, #[doc = \"x\"] Attr { a: u8 } }";
-        let f = scan(src);
-        let enums = parse_enums(&f);
-        assert_eq!(enums.len(), 1);
-        let m = &enums[0];
-        assert_eq!(m.name, "M");
-        let names: Vec<_> = m.variants.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, vec!["Unit", "Tup", "Named", "Attr"]);
-        assert_eq!(m.variants[2].fields, vec!["job", "n"]);
-        assert_eq!(m.variants[3].fields, vec!["a"]);
-    }
-
-    #[test]
-    fn tag_arms_parse_struct_tuple_and_unit_patterns() {
-        let src = r#"match self {
-            M::Unit => "unit",
-            M::Tup(_, _) => "tup",
-            M::Named { .. } => "named",
-            M::Fwd(m) => m.tag(),
-        }"#;
-        let arms = parse_tag_arms(src, "M");
-        assert_eq!(
-            arms,
-            vec![
-                ("Unit".to_string(), "unit".to_string()),
-                ("Tup".to_string(), "tup".to_string()),
-                ("Named".to_string(), "named".to_string()),
-                ("Fwd".to_string(), String::new()),
-            ]
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Fixture-driven tests: each lint must fire on its bad fixture at the
-//! expected `file:line` spans, and the wire lint must fail when the real
-//! workspace's `TAGS` array or vector bank loses an entry.
+//! expected `file:line` spans.
 //!
 //! The fixture sources live in `tests/fixtures/` (excluded from workspace
 //! scans) and are loaded under a plausible workspace-relative path so the
@@ -9,7 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use nimbus_lint::scanner::ScannedFile;
-use nimbus_lint::{apply_waivers, clock, config, job_scope, locks, panic_free, wire};
+use nimbus_lint::{apply_waivers, clock, locks, panic_free};
 use nimbus_lint::{Diagnostic, Rule};
 
 /// Loads a fixture file, re-anchored under `rel` so path-keyed policies
@@ -84,17 +83,6 @@ fn panic_fixture_is_silent_outside_panic_free_modules() {
 }
 
 #[test]
-fn job_scope_fixture_fires_on_the_unscoped_variant() {
-    let rel = "crates/net/src/message.rs";
-    let (f, r) = fixture("bad_job_scope.rs", rel);
-    let mut diags = Vec::new();
-    job_scope::check(&f, &r, &mut diags);
-    assert_eq!(spans(&diags), vec![(rel.to_string(), 5)], "{diags:?}");
-    assert_eq!(diags[0].rule, Rule::JobScope);
-    assert!(diags[0].message.contains("ControllerToWorker::Probe"));
-}
-
-#[test]
 fn lock_order_fixture_reports_the_ab_ba_cycle() {
     let rel = "crates/x/src/state.rs";
     let (f, r) = fixture("bad_lock_order.rs", rel);
@@ -122,96 +110,4 @@ fn waiver_fixture_reports_empty_reason_and_unused_waiver() {
     );
     assert!(diags[0].message.contains("no reason"));
     assert!(diags[1].message.contains("unused waiver"));
-}
-
-// ---------------------------------------------------------------------------
-// Wire-lint mutation tests against the REAL workspace sources: the lint must
-// be clean as committed, and must fail if a TAGS entry or a vector file
-// disappears.
-// ---------------------------------------------------------------------------
-
-struct RealWire {
-    message: ScannedFile,
-    stats: ScannedFile,
-    vectors_rs: ScannedFile,
-    vector_files: Vec<String>,
-}
-
-impl RealWire {
-    fn load() -> Self {
-        let root = config::find_root();
-        let read = |rel: &str| {
-            let raw = std::fs::read_to_string(root.join(rel))
-                .unwrap_or_else(|e| panic!("cannot read {rel}: {e}"));
-            ScannedFile::new(PathBuf::from(rel), raw)
-        };
-        let mut vector_files: Vec<String> = std::fs::read_dir(root.join(config::WIRE.vectors_dir))
-            .expect("vector dir exists")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        vector_files.sort();
-        Self {
-            message: read(config::WIRE.message),
-            stats: read(config::WIRE.stats),
-            vectors_rs: read(config::WIRE.vectors_rs),
-            vector_files,
-        }
-    }
-
-    fn check(&self) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
-        wire::check(
-            &wire::WireSources {
-                message: &self.message,
-                stats: &self.stats,
-                vectors_rs: &self.vectors_rs,
-                vector_files: self.vector_files.clone(),
-            },
-            &mut diags,
-        );
-        diags
-    }
-}
-
-#[test]
-fn wire_lint_is_clean_on_the_real_workspace() {
-    let real = RealWire::load();
-    let diags = real.check();
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn deleting_a_tags_entry_fails_the_wire_lint() {
-    let mut real = RealWire::load();
-    let mutated = real.stats.raw.replacen("    \"barrier\",\n", "", 1);
-    assert_ne!(
-        mutated, real.stats.raw,
-        "fixture assumption: TAGS lists \"barrier\""
-    );
-    real.stats = ScannedFile::new(PathBuf::from(config::WIRE.stats), mutated);
-    let diags = real.check();
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == Rule::Wire && d.message.contains("barrier")),
-        "dropping a TAGS entry must fail the wire lint: {diags:?}"
-    );
-}
-
-#[test]
-fn deleting_a_vector_file_fails_the_wire_lint() {
-    let mut real = RealWire::load();
-    let victim = real
-        .vector_files
-        .iter()
-        .position(|f| f.starts_with("msg-"))
-        .expect("fixture assumption: message vectors exist");
-    let name = real.vector_files.remove(victim);
-    let diags = real.check();
-    assert!(
-        !diags.is_empty(),
-        "dropping vector file {name} must fail the wire lint"
-    );
-    assert!(diags.iter().all(|d| d.rule == Rule::Wire), "{diags:?}");
 }

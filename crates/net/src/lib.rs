@@ -25,7 +25,7 @@ pub mod transport;
 pub use codec::{decode, encode, encode_into, serialized_size, CodecError};
 pub use message::{
     ControllerToDriver, ControllerToWorker, DataTransfer, DriverMessage, Envelope, JobVersions,
-    Message, NodeId, PartitionVersion, TransportEvent, WorkerToController,
+    Message, NodeId, PartitionVersion, Tag, TransportEvent, WorkerToController,
 };
 pub use payload::DataPayload;
 pub use stats::{NetworkStats, SharedNetworkStats};

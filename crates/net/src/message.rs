@@ -59,6 +59,80 @@ impl std::fmt::Display for NodeId {
     }
 }
 
+/// Declares the message tags — the protocol's names — exactly once. Every
+/// `tag()` below returns a [`Tag`], so a message variant without a tag is a
+/// non-exhaustive match (a compile error), and the per-tag counters are an
+/// array indexed by `tag as usize` with no table to keep in step.
+macro_rules! tags {
+    ($($variant:ident => $name:literal,)*) => {
+        /// The short name of a message kind, used for statistics, traces
+        /// and error text. Requests and replies that share a name across
+        /// directions (`fetch_value`, `instantiate_template`, `shutdown`)
+        /// share a tag.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Tag {
+            $(#[doc = $name] $variant,)*
+        }
+
+        impl Tag {
+            /// Number of tags.
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// Every tag in declaration order: `ALL[i] as usize == i`.
+            pub const ALL: [Tag; Tag::COUNT] = [$(Tag::$variant,)*];
+
+            /// The tag's name, as it appears in statistics and traces.
+            pub const fn as_str(self) -> &'static str {
+                match self {
+                    $(Tag::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+tags! {
+    OpenJob => "open_job",
+    CloseJob => "close_job",
+    DefineDataset => "define_dataset",
+    SubmitTask => "submit_task",
+    StartTemplate => "start_template",
+    FinishTemplate => "finish_template",
+    AbortTemplate => "abort_template",
+    InstantiateTemplate => "instantiate_template",
+    FetchValue => "fetch_value",
+    Barrier => "barrier",
+    EnableTemplates => "enable_templates",
+    Checkpoint => "checkpoint",
+    MigrateTasks => "migrate_tasks",
+    SetWorkers => "set_workers",
+    FailWorker => "fail_worker",
+    Shutdown => "shutdown",
+    JobAccepted => "job_accepted",
+    ValueFetched => "value_fetched",
+    BarrierReached => "barrier_reached",
+    TemplateInstalled => "template_installed",
+    CheckpointCommitted => "checkpoint_committed",
+    RecoveryComplete => "recovery_complete",
+    Ack => "ack",
+    Error => "error",
+    JobTerminated => "job_terminated",
+    ExecuteCommands => "execute_commands",
+    InstallTemplate => "install_template",
+    Halt => "halt",
+    DropJob => "drop_job",
+    RejoinAccepted => "rejoin_accepted",
+    CommandsCompleted => "commands_completed",
+    WorkerTemplateInstalled => "worker_template_installed",
+    WorkerValueFetched => "worker_value_fetched",
+    Halted => "halted",
+    Heartbeat => "heartbeat",
+    Register => "register",
+    DataTransfer => "data_transfer",
+    TransportEvent => "transport_event",
+}
+
 /// Messages from a driver program to the controller.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum DriverMessage {
@@ -141,24 +215,24 @@ pub enum DriverMessage {
 
 impl DriverMessage {
     /// Short tag for statistics.
-    pub fn tag(&self) -> &'static str {
+    pub fn tag(&self) -> Tag {
         match self {
-            DriverMessage::OpenJob => "open_job",
-            DriverMessage::CloseJob => "close_job",
-            DriverMessage::DefineDataset(_) => "define_dataset",
-            DriverMessage::SubmitTask(_) => "submit_task",
-            DriverMessage::StartTemplate { .. } => "start_template",
-            DriverMessage::FinishTemplate { .. } => "finish_template",
-            DriverMessage::AbortTemplate { .. } => "abort_template",
-            DriverMessage::InstantiateTemplate { .. } => "instantiate_template",
-            DriverMessage::FetchValue { .. } => "fetch_value",
-            DriverMessage::Barrier => "barrier",
-            DriverMessage::EnableTemplates(_) => "enable_templates",
-            DriverMessage::Checkpoint { .. } => "checkpoint",
-            DriverMessage::MigrateTasks { .. } => "migrate_tasks",
-            DriverMessage::SetWorkerAllocation { .. } => "set_workers",
-            DriverMessage::FailWorker { .. } => "fail_worker",
-            DriverMessage::Shutdown => "shutdown",
+            DriverMessage::OpenJob => Tag::OpenJob,
+            DriverMessage::CloseJob => Tag::CloseJob,
+            DriverMessage::DefineDataset(_) => Tag::DefineDataset,
+            DriverMessage::SubmitTask(_) => Tag::SubmitTask,
+            DriverMessage::StartTemplate { .. } => Tag::StartTemplate,
+            DriverMessage::FinishTemplate { .. } => Tag::FinishTemplate,
+            DriverMessage::AbortTemplate { .. } => Tag::AbortTemplate,
+            DriverMessage::InstantiateTemplate { .. } => Tag::InstantiateTemplate,
+            DriverMessage::FetchValue { .. } => Tag::FetchValue,
+            DriverMessage::Barrier => Tag::Barrier,
+            DriverMessage::EnableTemplates(_) => Tag::EnableTemplates,
+            DriverMessage::Checkpoint { .. } => Tag::Checkpoint,
+            DriverMessage::MigrateTasks { .. } => Tag::MigrateTasks,
+            DriverMessage::SetWorkerAllocation { .. } => Tag::SetWorkers,
+            DriverMessage::FailWorker { .. } => Tag::FailWorker,
+            DriverMessage::Shutdown => Tag::Shutdown,
         }
     }
 }
@@ -210,17 +284,17 @@ pub enum ControllerToDriver {
 
 impl ControllerToDriver {
     /// Short tag for statistics.
-    pub fn tag(&self) -> &'static str {
+    pub fn tag(&self) -> Tag {
         match self {
-            ControllerToDriver::JobAccepted { .. } => "job_accepted",
-            ControllerToDriver::ValueFetched { .. } => "value_fetched",
-            ControllerToDriver::BarrierReached => "barrier_reached",
-            ControllerToDriver::TemplateInstalled { .. } => "template_installed",
-            ControllerToDriver::CheckpointCommitted { .. } => "checkpoint_committed",
-            ControllerToDriver::RecoveryComplete { .. } => "recovery_complete",
-            ControllerToDriver::Ack => "ack",
-            ControllerToDriver::Error { .. } => "error",
-            ControllerToDriver::JobTerminated => "job_terminated",
+            ControllerToDriver::JobAccepted { .. } => Tag::JobAccepted,
+            ControllerToDriver::ValueFetched { .. } => Tag::ValueFetched,
+            ControllerToDriver::BarrierReached => Tag::BarrierReached,
+            ControllerToDriver::TemplateInstalled { .. } => Tag::TemplateInstalled,
+            ControllerToDriver::CheckpointCommitted { .. } => Tag::CheckpointCommitted,
+            ControllerToDriver::RecoveryComplete { .. } => Tag::RecoveryComplete,
+            ControllerToDriver::Ack => Tag::Ack,
+            ControllerToDriver::Error { .. } => Tag::Error,
+            ControllerToDriver::JobTerminated => Tag::JobTerminated,
         }
     }
 }
@@ -308,16 +382,34 @@ pub struct PartitionVersion {
 
 impl ControllerToWorker {
     /// Short tag for statistics.
-    pub fn tag(&self) -> &'static str {
+    pub fn tag(&self) -> Tag {
         match self {
-            ControllerToWorker::ExecuteCommands { .. } => "execute_commands",
-            ControllerToWorker::InstallTemplate { .. } => "install_template",
-            ControllerToWorker::InstantiateTemplate { .. } => "instantiate_template",
-            ControllerToWorker::FetchValue { .. } => "fetch_value",
-            ControllerToWorker::Halt { .. } => "halt",
-            ControllerToWorker::DropJob { .. } => "drop_job",
-            ControllerToWorker::RejoinAccepted { .. } => "rejoin_accepted",
-            ControllerToWorker::Shutdown => "shutdown",
+            ControllerToWorker::ExecuteCommands { .. } => Tag::ExecuteCommands,
+            ControllerToWorker::InstallTemplate { .. } => Tag::InstallTemplate,
+            ControllerToWorker::InstantiateTemplate { .. } => Tag::InstantiateTemplate,
+            ControllerToWorker::FetchValue { .. } => Tag::FetchValue,
+            ControllerToWorker::Halt { .. } => Tag::Halt,
+            ControllerToWorker::DropJob { .. } => Tag::DropJob,
+            ControllerToWorker::RejoinAccepted { .. } => Tag::RejoinAccepted,
+            ControllerToWorker::Shutdown => Tag::Shutdown,
+        }
+    }
+
+    /// The job this message is scoped to. The match has no wildcard, so a
+    /// new variant cannot compile without stating its scope; a `None` arm
+    /// says why the message belongs to no single job.
+    pub fn job(&self) -> Option<JobId> {
+        match self {
+            ControllerToWorker::ExecuteCommands { job, .. }
+            | ControllerToWorker::InstallTemplate { job, .. }
+            | ControllerToWorker::InstantiateTemplate { job, .. }
+            | ControllerToWorker::FetchValue { job, .. }
+            | ControllerToWorker::Halt { job }
+            | ControllerToWorker::DropJob { job } => Some(*job),
+            // Carries per-job version state for every job in its `jobs`.
+            ControllerToWorker::RejoinAccepted { .. } => None,
+            // Terminates the worker process itself, across all jobs.
+            ControllerToWorker::Shutdown => None,
         }
     }
 }
@@ -386,14 +478,29 @@ pub enum WorkerToController {
 
 impl WorkerToController {
     /// Short tag for statistics.
-    pub fn tag(&self) -> &'static str {
+    pub fn tag(&self) -> Tag {
         match self {
-            WorkerToController::CommandsCompleted { .. } => "commands_completed",
-            WorkerToController::TemplateInstalled { .. } => "worker_template_installed",
-            WorkerToController::ValueFetched { .. } => "worker_value_fetched",
-            WorkerToController::Halted { .. } => "halted",
-            WorkerToController::Heartbeat { .. } => "heartbeat",
-            WorkerToController::Register { .. } => "register",
+            WorkerToController::CommandsCompleted { .. } => Tag::CommandsCompleted,
+            WorkerToController::TemplateInstalled { .. } => Tag::WorkerTemplateInstalled,
+            WorkerToController::ValueFetched { .. } => Tag::WorkerValueFetched,
+            WorkerToController::Halted { .. } => Tag::Halted,
+            WorkerToController::Heartbeat { .. } => Tag::Heartbeat,
+            WorkerToController::Register { .. } => Tag::Register,
+        }
+    }
+
+    /// The job this message is scoped to (wildcard-free, like
+    /// [`ControllerToWorker::job`]).
+    pub fn job(&self) -> Option<JobId> {
+        match self {
+            WorkerToController::CommandsCompleted { job, .. }
+            | WorkerToController::TemplateInstalled { job, .. }
+            | WorkerToController::ValueFetched { job, .. }
+            | WorkerToController::Halted { job, .. } => Some(*job),
+            // Liveness is a property of the worker, not of a job.
+            WorkerToController::Heartbeat { .. } => None,
+            // A worker joins the cluster before it belongs to any job.
+            WorkerToController::Register { .. } => None,
         }
     }
 }
@@ -464,14 +571,14 @@ impl Message {
     }
 
     /// Short tag for statistics.
-    pub fn tag(&self) -> &'static str {
+    pub fn tag(&self) -> Tag {
         match self {
             Message::Driver { msg, .. } => msg.tag(),
             Message::ToDriver(m) => m.tag(),
             Message::ToWorker(m) => m.tag(),
             Message::FromWorker(m) => m.tag(),
-            Message::Data(_) => "data_transfer",
-            Message::Transport(_) => "transport_event",
+            Message::Data(_) => Tag::DataTransfer,
+            Message::Transport(_) => Tag::TransportEvent,
         }
     }
 
@@ -522,29 +629,28 @@ mod tests {
     }
 
     #[test]
-    fn tags_cover_variants() {
+    fn tags_index_their_own_slot_and_names_are_unique() {
+        assert_eq!(Tag::ALL.len(), Tag::COUNT);
+        for (i, tag) in Tag::ALL.iter().enumerate() {
+            assert_eq!(*tag as usize, i, "{tag:?}");
+        }
+        let names: std::collections::HashSet<_> = Tag::ALL.iter().map(|t| t.as_str()).collect();
+        assert_eq!(names.len(), Tag::COUNT, "two tags share a name");
+    }
+
+    #[test]
+    fn message_tag_forwards_to_the_inner_enum() {
         assert_eq!(
-            Message::Driver {
-                job: JobId(1),
-                msg: DriverMessage::Barrier
-            }
-            .tag(),
-            "barrier"
-        );
-        assert_eq!(
-            Message::Driver {
-                job: JobId(0),
-                msg: DriverMessage::OpenJob
-            }
-            .tag(),
-            "open_job"
+            Message::driver(JobId(1), DriverMessage::Barrier).tag(),
+            Tag::Barrier
         );
         assert_eq!(
             Message::FromWorker(WorkerToController::Halted {
                 job: JobId(1),
                 worker: WorkerId(1)
             })
-            .tag(),
+            .tag()
+            .as_str(),
             "halted"
         );
         let data = Message::Data(DataTransfer {
@@ -554,8 +660,37 @@ mod tests {
             payload: DataPayload::Bytes(Bytes::from_static(&[0; 8])),
         });
         assert!(data.is_data());
-        assert_eq!(data.tag(), "data_transfer");
+        assert_eq!(data.tag(), Tag::DataTransfer);
         assert_eq!(data.wire_size(), 40);
+    }
+
+    #[test]
+    fn job_is_none_exactly_for_the_worker_lifecycle_messages() {
+        let worker = WorkerId(2);
+        assert_eq!(
+            ControllerToWorker::RejoinAccepted { jobs: Vec::new() }.job(),
+            None
+        );
+        assert_eq!(ControllerToWorker::Shutdown.job(), None);
+        assert_eq!(WorkerToController::Register { worker }.job(), None);
+        let heartbeat = WorkerToController::Heartbeat {
+            worker,
+            queued: 0,
+            ready: 0,
+        };
+        assert_eq!(heartbeat.job(), None);
+        assert_eq!(
+            ControllerToWorker::Halt { job: JobId(7) }.job(),
+            Some(JobId(7))
+        );
+        assert_eq!(
+            WorkerToController::Halted {
+                job: JobId(7),
+                worker
+            }
+            .job(),
+            Some(JobId(7))
+        );
     }
 
     #[test]

@@ -3,106 +3,15 @@
 //! The transports record one entry per delivered message on the hottest path
 //! of the whole system, so the shared recorder ([`SharedNetworkStats`]) is
 //! built from plain atomics: recording a message is a handful of relaxed
-//! `fetch_add`s, never a lock, and never a clone. Per-tag counts use a fixed
-//! table of known control-plane tags ([`TAGS`]) so they get an atomic slot
-//! each instead of a locked hash map. Snapshots ([`NetworkStats`]) are the
-//! plain owned struct the reports and tests consume.
+//! `fetch_add`s, never a lock, and never a clone. Per-tag counts are an
+//! array with one atomic slot per [`Tag`], indexed by the tag itself.
+//! Snapshots ([`NetworkStats`]) are the plain owned struct the reports and
+//! tests consume.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Every message tag the transports can record, in a fixed order so each tag
-/// owns one atomic counter slot. Unknown tags (future message types that
-/// forget to register here) fall into a shared `"other"` bucket rather than
-/// being dropped.
-pub const TAGS: [&str; 38] = [
-    "open_job",
-    "close_job",
-    "define_dataset",
-    "submit_task",
-    "start_template",
-    "finish_template",
-    "abort_template",
-    "instantiate_template",
-    "fetch_value",
-    "barrier",
-    "enable_templates",
-    "checkpoint",
-    "migrate_tasks",
-    "set_workers",
-    "fail_worker",
-    "shutdown",
-    "job_accepted",
-    "value_fetched",
-    "barrier_reached",
-    "template_installed",
-    "checkpoint_committed",
-    "recovery_complete",
-    "ack",
-    "error",
-    "job_terminated",
-    "execute_commands",
-    "install_template",
-    "halt",
-    "drop_job",
-    "rejoin_accepted",
-    "commands_completed",
-    "worker_template_installed",
-    "worker_value_fetched",
-    "halted",
-    "heartbeat",
-    "register",
-    "data_transfer",
-    "transport_event",
-];
-
-/// Index of the overflow bucket for tags not present in [`TAGS`].
-const OTHER: usize = TAGS.len();
-
-/// Maps a tag to its counter slot (the `"other"` bucket for unknown tags).
-fn tag_index(tag: &str) -> usize {
-    match tag {
-        "open_job" => 0,
-        "close_job" => 1,
-        "define_dataset" => 2,
-        "submit_task" => 3,
-        "start_template" => 4,
-        "finish_template" => 5,
-        "abort_template" => 6,
-        "instantiate_template" => 7,
-        "fetch_value" => 8,
-        "barrier" => 9,
-        "enable_templates" => 10,
-        "checkpoint" => 11,
-        "migrate_tasks" => 12,
-        "set_workers" => 13,
-        "fail_worker" => 14,
-        "shutdown" => 15,
-        "job_accepted" => 16,
-        "value_fetched" => 17,
-        "barrier_reached" => 18,
-        "template_installed" => 19,
-        "checkpoint_committed" => 20,
-        "recovery_complete" => 21,
-        "ack" => 22,
-        "error" => 23,
-        "job_terminated" => 24,
-        "execute_commands" => 25,
-        "install_template" => 26,
-        "halt" => 27,
-        "drop_job" => 28,
-        "rejoin_accepted" => 29,
-        "commands_completed" => 30,
-        "worker_template_installed" => 31,
-        "worker_value_fetched" => 32,
-        "halted" => 33,
-        "heartbeat" => 34,
-        "register" => 35,
-        "data_transfer" => 36,
-        "transport_event" => 37,
-        _ => OTHER,
-    }
-}
+use crate::message::Tag;
 
 /// Lock-free traffic counters shared between a fabric and its endpoints.
 ///
@@ -117,7 +26,7 @@ pub struct SharedNetworkStats {
     frames_coalesced: AtomicU64,
     batched_commands: AtomicU64,
     tcp_writes: AtomicU64,
-    by_tag: [AtomicU64; TAGS.len() + 1],
+    by_tag: [AtomicU64; Tag::COUNT],
 }
 
 impl Default for SharedNetworkStats {
@@ -141,7 +50,7 @@ impl SharedNetworkStats {
     }
 
     /// Records one delivered message.
-    pub fn record(&self, tag: &str, bytes: usize, is_data: bool) {
+    pub fn record(&self, tag: Tag, bytes: usize, is_data: bool) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         if is_data {
             self.data_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -149,11 +58,11 @@ impl SharedNetworkStats {
             self.control_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
         }
-        self.by_tag[tag_index(tag)].fetch_add(1, Ordering::Relaxed);
+        self.by_tag[tag as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records that `n` messages were delivered through one batched send
-    /// (`n >= 2`): the batch saved `n - 1` frames over the per-message path.
+    /// (`n >= 2`): the batch saved `n - 1` frames over `n` single sends.
     pub fn record_batch(&self, n: u64) {
         self.batched_commands.fetch_add(n, Ordering::Relaxed);
         self.frames_coalesced
@@ -169,11 +78,10 @@ impl SharedNetworkStats {
     /// Takes an owned snapshot of every counter.
     pub fn snapshot(&self) -> NetworkStats {
         let mut by_tag = HashMap::new();
-        for (i, slot) in self.by_tag.iter().enumerate() {
+        for (tag, slot) in Tag::ALL.iter().zip(&self.by_tag) {
             let count = slot.load(Ordering::Relaxed);
             if count > 0 {
-                let tag = if i == OTHER { "other" } else { TAGS[i] };
-                by_tag.insert(tag.to_string(), count);
+                by_tag.insert(tag.as_str().to_string(), count);
             }
         }
         NetworkStats {
@@ -216,18 +124,6 @@ impl NetworkStats {
         Self::default()
     }
 
-    /// Records one delivered message (snapshot-side convenience, used by
-    /// unit tests; the transports record through [`SharedNetworkStats`]).
-    pub fn record(&mut self, tag: &str, bytes: usize, is_data: bool) {
-        self.messages += 1;
-        if is_data {
-            self.data_bytes += bytes as u64;
-        } else {
-            self.control_bytes += bytes as u64;
-        }
-        *self.by_tag.entry(tag.to_string()).or_insert(0) += 1;
-    }
-
     /// Total bytes delivered over both planes.
     pub fn total_bytes(&self) -> u64 {
         self.control_bytes + self.data_bytes
@@ -244,52 +140,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_splits_planes() {
-        let mut s = NetworkStats::new();
-        s.record("submit_task", 100, false);
-        s.record("data_transfer", 1000, true);
-        s.record("submit_task", 50, false);
-        assert_eq!(s.messages, 3);
-        assert_eq!(s.control_bytes, 150);
-        assert_eq!(s.data_bytes, 1000);
-        assert_eq!(s.total_bytes(), 1150);
-        assert_eq!(s.count("submit_task"), 2);
-        assert_eq!(s.count("missing"), 0);
-    }
-
-    #[test]
     fn shared_stats_snapshot_matches_recorded_traffic() {
         let shared = SharedNetworkStats::new();
-        shared.record("submit_task", 100, false);
-        shared.record("data_transfer", 1000, true);
-        shared.record("submit_task", 50, false);
+        shared.record(Tag::SubmitTask, 100, false);
+        shared.record(Tag::DataTransfer, 1000, true);
+        shared.record(Tag::SubmitTask, 50, false);
         shared.record_batch(4);
         shared.record_tcp_write();
         let s = shared.snapshot();
         assert_eq!(s.messages, 3);
         assert_eq!(s.control_bytes, 150);
         assert_eq!(s.data_bytes, 1000);
+        assert_eq!(s.total_bytes(), 1150);
         assert_eq!(s.count("submit_task"), 2);
         assert_eq!(s.count("data_transfer"), 1);
+        assert_eq!(s.count("missing"), 0);
         assert_eq!(s.batched_commands, 4);
         assert_eq!(s.frames_coalesced, 3);
         assert_eq!(s.tcp_writes, 1);
     }
 
     #[test]
-    fn every_known_tag_owns_a_distinct_slot() {
-        for (i, tag) in TAGS.iter().enumerate() {
-            assert_eq!(tag_index(tag), i, "tag {tag} maps to the wrong slot");
-        }
-        assert_eq!(tag_index("definitely_not_a_tag"), OTHER);
-    }
-
-    #[test]
-    fn unknown_tags_land_in_the_other_bucket() {
+    fn snapshot_keys_are_the_names_of_the_tags_recorded() {
         let shared = SharedNetworkStats::new();
-        shared.record("mystery", 10, false);
+        for (i, tag) in Tag::ALL.iter().enumerate() {
+            for _ in 0..=i {
+                shared.record(*tag, 1, false);
+            }
+        }
         let s = shared.snapshot();
-        assert_eq!(s.count("other"), 1);
-        assert_eq!(s.control_bytes, 10);
+        assert_eq!(s.by_tag.len(), Tag::COUNT);
+        for (i, tag) in Tag::ALL.iter().enumerate() {
+            assert_eq!(s.count(tag.as_str()), i as u64 + 1, "{tag:?}");
+        }
     }
 }

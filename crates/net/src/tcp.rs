@@ -52,7 +52,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::codec;
 use crate::framing::{self, BATCH_FLAG};
-use crate::message::{Envelope, Message, NodeId, TransportEvent};
+use crate::message::{Envelope, Message, NodeId, Tag, TransportEvent};
 use crate::stats::{NetworkStats, SharedNetworkStats};
 use crate::transport::{NetError, NetResult, TransportEndpoint};
 
@@ -501,11 +501,15 @@ impl TransportEndpoint for TcpEndpoint {
                 None => Ok(()),
             };
         }
+        let metas: Vec<(Tag, usize, bool)> = messages
+            .iter()
+            .map(|m| (m.tag(), m.wire_size(), m.is_data()))
+            .collect();
         // A batch that cannot fit one frame falls back to per-message sends
         // rather than failing: correctness first, coalescing second.
-        let total: usize = messages
+        let total: usize = metas
             .iter()
-            .map(|m| m.wire_size().saturating_add(64))
+            .map(|(_, size, _)| size.saturating_add(64))
             .sum();
         if total > MAX_FRAME {
             for message in messages {
@@ -513,10 +517,6 @@ impl TransportEndpoint for TcpEndpoint {
             }
             return Ok(());
         }
-        let metas: Vec<(&'static str, usize, bool)> = messages
-            .iter()
-            .map(|m| (m.tag(), m.wire_size(), m.is_data()))
-            .collect();
         let n = messages.len() as u64;
         let envelopes: Vec<Envelope> = messages
             .into_iter()

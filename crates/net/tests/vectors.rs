@@ -18,6 +18,7 @@
 //!
 //! and commit the rewritten `tests/vectors/*.bin` together with the change.
 
+use std::collections::{BTreeSet, HashSet};
 use std::fs;
 use std::path::PathBuf;
 
@@ -34,7 +35,7 @@ use nimbus_core::template::{
 use nimbus_core::{Command, CommandKind, TaskParams};
 use nimbus_net::{
     decode, encode, serialized_size, ControllerToDriver, ControllerToWorker, DataPayload,
-    DataTransfer, DriverMessage, Envelope, JobVersions, Message, NodeId, PartitionVersion,
+    DataTransfer, DriverMessage, Envelope, JobVersions, Message, NodeId, PartitionVersion, Tag,
     TransportEvent, WorkerToController,
 };
 
@@ -406,6 +407,10 @@ fn regen() -> bool {
     std::env::var("NIMBUS_REGEN_VECTORS").is_ok()
 }
 
+fn message_vector_name(which: u32, m: &Message) -> String {
+    format!("msg-{which:02}-{}.bin", m.tag().as_str())
+}
+
 fn check_vector(name: &str, encoded: &[u8]) -> Option<String> {
     let path = vectors_dir().join(name);
     if regen() {
@@ -447,16 +452,15 @@ fn message_vectors_are_byte_stable() {
             encoded.len(),
             serialized_size(&m),
             "variant {which} ({}): length diverges from the counting codec",
-            m.tag()
+            m.tag().as_str()
         );
         assert_eq!(
             decode::<Message>(&encoded).expect("decode"),
             m,
             "variant {which} ({})",
-            m.tag()
+            m.tag().as_str()
         );
-        let name = format!("msg-{which:02}-{}.bin", m.tag());
-        drift.extend(check_vector(&name, &encoded));
+        drift.extend(check_vector(&message_vector_name(which, &m), &encoded));
     }
     assert!(drift.is_empty(), "{}", drift.join("\n"));
 }
@@ -502,4 +506,42 @@ fn vector_census_covers_distinct_variants() {
         vec![(31, 33)],
         "unexpected aliasing between vector slots"
     );
+    // Every tag has at least one pinned encoding: a tag added to `Tag`
+    // without a vector slot fails here.
+    let covered: HashSet<Tag> = messages.iter().map(Message::tag).collect();
+    let missing: Vec<Tag> = Tag::ALL
+        .into_iter()
+        .filter(|t| !covered.contains(t))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "tags with no golden vector: {missing:?}"
+    );
+}
+
+/// The files on disk are exactly the census: a vector left behind by a
+/// removed or renamed variant, or one never generated, fails.
+#[test]
+fn vector_files_are_exactly_the_census() {
+    if regen() {
+        return; // the byte-stability tests are rewriting the directory
+    }
+    let expected: BTreeSet<String> = (0..MESSAGE_VARIANTS)
+        .map(|which| message_vector_name(which, &vector_message(which)))
+        .chain(
+            vector_envelopes()
+                .iter()
+                .map(|(label, _)| format!("env-{label}.bin")),
+        )
+        .collect();
+    let on_disk: BTreeSet<String> = fs::read_dir(vectors_dir())
+        .expect("read vectors dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert_eq!(on_disk, expected);
 }

@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use nimbus_controller::{Controller, ControllerConfig};
-use nimbus_driver::DriverContext;
+use nimbus_driver::Session;
 use nimbus_net::{NodeId, TcpFabric};
 use nimbus_runtime::multiproc::parse_command_line;
 use nimbus_runtime::quickstart::quickstart_driver_with;
@@ -88,7 +88,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut ctx = DriverContext::new(driver_endpoint);
+    let mut ctx = Session::new(driver_endpoint);
     ctx.set_reply_timeout(reply_timeout);
 
     let result = quickstart_driver_with(&mut ctx, iterations, |i, total| {

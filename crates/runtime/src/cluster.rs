@@ -23,7 +23,7 @@ use std::time::Duration;
 use nimbus_controller::{Controller, ControllerConfig};
 use nimbus_core::ids::WorkerId;
 use nimbus_core::ControlPlaneStats;
-use nimbus_driver::{DriverContext, DriverError, DriverResult, Session};
+use nimbus_driver::{DriverError, DriverResult, Session};
 use nimbus_net::{Network, NetworkStats, NodeId, TcpFabric, TransportEndpoint};
 use nimbus_worker::{
     DataFactoryRegistry, FunctionRegistry, ObjectVault, Worker, WorkerConfig, WorkerStats,
@@ -129,7 +129,6 @@ impl Cluster {
         controller_config.enable_templates = config.enable_templates;
         controller_config.checkpoint_every = config.checkpoint_every;
         controller_config.rejoin_grace = config.rejoin_grace;
-        controller_config.batch_sends = config.batch_sends;
         let controller_handle = match &cluster.fabric {
             Fabric::InProcess(network) => spawn_controller(Controller::new(
                 controller_config,
@@ -277,11 +276,11 @@ impl Cluster {
     /// exists once, so a second call while the first context is alive
     /// panics with an address-in-use error. For concurrent drivers use
     /// [`Cluster::connect_driver`], which hands out independent sessions.
-    pub fn driver(&self) -> DriverContext {
+    pub fn driver(&self) -> Session {
         match &self.fabric {
-            Fabric::InProcess(network) => DriverContext::new(network.register(NodeId::Driver)),
+            Fabric::InProcess(network) => Session::new(network.register(NodeId::Driver)),
             Fabric::Tcp(tcp) => {
-                DriverContext::new(tcp.endpoint(NodeId::Driver).expect(
+                Session::new(tcp.endpoint(NodeId::Driver).expect(
                     "bind driver endpoint (only one TCP driver context can exist at a time)",
                 ))
             }
@@ -327,7 +326,7 @@ impl Cluster {
     /// (kill, rejoin, add workers) mid-job.
     pub fn run_driver_with_cluster<T>(
         mut self,
-        body: impl FnOnce(&mut DriverContext, &mut Cluster) -> DriverResult<T>,
+        body: impl FnOnce(&mut Session, &mut Cluster) -> DriverResult<T>,
     ) -> DriverResult<ClusterReport<T>> {
         let mut driver = self.driver();
         let result = body(&mut driver, &mut self);
@@ -342,7 +341,7 @@ impl Cluster {
     /// returns the driver's output together with every statistics block.
     pub fn run_driver<T>(
         self,
-        body: impl FnOnce(&mut DriverContext) -> DriverResult<T>,
+        body: impl FnOnce(&mut Session) -> DriverResult<T>,
     ) -> DriverResult<ClusterReport<T>> {
         self.run_driver_with_cluster(|ctx, _cluster| body(ctx))
     }

@@ -48,11 +48,6 @@ pub struct ClusterConfig {
     /// recovering onto the survivors (TCP transports; `None` recovers
     /// immediately, the pre-rejoin behavior).
     pub rejoin_grace: Option<Duration>,
-    /// Whether the controller corks hot-path sends into one batched send
-    /// per worker per flush (the default). Disabled, every control message
-    /// is its own transport send — the pre-batching wire behavior, kept as
-    /// a measurable baseline for `fig8_real_throughput`.
-    pub batch_sends: bool,
 }
 
 impl ClusterConfig {
@@ -69,7 +64,6 @@ impl ClusterConfig {
             policy: AssignmentPolicy::hash(),
             completion_batch: 64,
             rejoin_grace: None,
-            batch_sends: true,
         }
     }
 
@@ -108,16 +102,6 @@ impl ClusterConfig {
     /// before recovering without it.
     pub fn with_rejoin_grace(mut self, grace: Duration) -> Self {
         self.rejoin_grace = Some(grace);
-        self
-    }
-
-    /// Disables control-plane send batching: one transport send (and, on
-    /// TCP, one `write(2)`) per message. This is the pre-batching wire
-    /// behavior; message contents and per-worker ordering are identical to
-    /// the batched path, so it exists purely as the measurable baseline of
-    /// the real-runtime throughput bench.
-    pub fn with_per_message_control_plane(mut self) -> Self {
-        self.batch_sends = false;
         self
     }
 }

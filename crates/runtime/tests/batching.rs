@@ -1,16 +1,17 @@
-//! Equivalence of the batched and per-message control planes.
+//! The corked control plane is invisible above the wire.
 //!
-//! The corked/batched send path is a transport optimization and must be
-//! invisible above the wire: the same job must produce byte-identical
-//! output, the same per-worker command stream (observable through identical
-//! dispatch/execution counts and output values), on the in-process fabric
-//! and on TCP loopback, batched and unbatched. These tests pin that, plus
-//! the new batching counters that prove coalescing actually happens.
+//! Corked/batched sends are a transport optimization: the same job must
+//! produce its closed-form output and the same per-worker command stream
+//! (observable through identical dispatch/execution counts) on the
+//! in-process fabric and on TCP loopback. These tests pin that, plus the
+//! batching counters that prove coalescing actually happens. Per-message
+//! framing itself is pinned at the endpoint level (`send` vs `send_many` in
+//! `nimbus-net`'s TCP tests).
 
 use nimbus_core::appdata::VecF64;
 use nimbus_core::ids::FunctionId;
 use nimbus_core::TaskParams;
-use nimbus_driver::{Dataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_runtime::quickstart::{quickstart_driver, quickstart_setup, PARTITIONS, PARTITION_LEN};
 use nimbus_runtime::{AppSetup, Cluster, ClusterConfig, ClusterReport};
 
@@ -40,7 +41,7 @@ fn flood_setup() -> AppSetup {
         .object(nimbus_core::LogicalObjectId(1), |_| VecF64::zeros(4))
 }
 
-fn flood_driver(ctx: &mut DriverContext, iterations: u32) -> DriverResult<f64> {
+fn flood_driver(ctx: &mut Session, iterations: u32) -> DriverResult<f64> {
     let data: Dataset<VecF64> = ctx.define_dataset("data", FLOOD_PARTITIONS)?;
     for _ in 0..iterations {
         ctx.block("flood", |ctx| {
@@ -65,92 +66,57 @@ fn run_flood(config: ClusterConfig, iterations: u32) -> ClusterReport<f64> {
         .expect("flood job completes")
 }
 
-/// The core property, swept over a few job sizes: batched and per-message
-/// control planes produce byte-identical results on both transports, with
-/// identical dispatch and execution counts — batching must not reorder,
-/// drop, or duplicate anything in a worker's command stream.
+/// The core property, swept over a few job sizes: the job produces its
+/// closed-form result on both transports, with identical dispatch and
+/// execution counts — batching must not reorder, drop, or duplicate anything
+/// in a worker's command stream.
 #[test]
-fn batched_dispatch_is_byte_identical_to_per_message_on_both_transports() {
+fn batched_dispatch_is_identical_on_both_transports() {
     for iterations in [3u32, 6] {
         let expected: Vec<f64> = (1..=iterations as usize)
             .map(|i| (i * PARTITIONS as usize * PARTITION_LEN) as f64)
             .collect();
         let reference = run_quickstart(ClusterConfig::new(2), iterations);
-        assert_eq!(reference.output, expected, "closed form (batched in-proc)");
-        let reference_commands = reference.controller.commands_dispatched;
+        assert_eq!(reference.output, expected, "closed form (in-process)");
         let reference_tasks: u64 = reference.workers.iter().map(|w| w.tasks_executed).sum();
-        let configs = [
-            ClusterConfig::new(2).with_per_message_control_plane(),
-            ClusterConfig::new(2).with_tcp_transport(),
-            ClusterConfig::new(2)
-                .with_tcp_transport()
-                .with_per_message_control_plane(),
-        ];
-        for (i, config) in configs.into_iter().enumerate() {
-            let report = run_quickstart(config, iterations);
-            assert_eq!(report.output, expected, "config {i} diverged");
-            assert_eq!(
-                report.controller.commands_dispatched, reference_commands,
-                "config {i} dispatched a different command stream"
-            );
-            let tasks: u64 = report.workers.iter().map(|w| w.tasks_executed).sum();
-            assert_eq!(tasks, reference_tasks, "config {i} executed differently");
-        }
+        let tcp = run_quickstart(ClusterConfig::new(2).with_tcp_transport(), iterations);
+        assert_eq!(tcp.output, expected, "closed form (TCP)");
+        assert_eq!(
+            tcp.controller.commands_dispatched, reference.controller.commands_dispatched,
+            "TCP dispatched a different command stream"
+        );
+        let tasks: u64 = tcp.workers.iter().map(|w| w.tasks_executed).sum();
+        assert_eq!(tasks, reference_tasks, "TCP executed differently");
     }
 }
 
-/// A pipelined instantiation flood behaves identically batched and
-/// unbatched, and on TCP the batched run actually coalesces: fewer
-/// `write(2)`s than messages, a nonzero coalesced-frame count, and none of
-/// that in per-message mode.
+/// A pipelined instantiation flood on TCP actually coalesces — a nonzero
+/// coalesced-frame count and fewer `write(2)`s than messages — without
+/// changing the result.
 #[test]
 fn tcp_flood_coalesces_frames_without_changing_results() {
     const ITERATIONS: u32 = 40;
-    let batched = run_flood(ClusterConfig::new(2).with_tcp_transport(), ITERATIONS);
-    let per_message = run_flood(
-        ClusterConfig::new(2)
-            .with_tcp_transport()
-            .with_per_message_control_plane(),
-        ITERATIONS,
-    );
-    // The first block call records (and executes); the rest instantiate.
-    let expected = ITERATIONS as f64;
-    assert_eq!(batched.output, expected);
-    assert_eq!(per_message.output, expected);
-    assert_eq!(
-        batched.controller.commands_dispatched,
-        per_message.controller.commands_dispatched
-    );
-
-    // Per-message mode never batches.
-    assert_eq!(per_message.network.batched_commands, 0);
-    assert_eq!(per_message.network.frames_coalesced, 0);
-    // The batched run corked at least some of the flood: every coalesced
-    // frame is a write(2) saved, so writes stay strictly below the
-    // per-message count of the same workload.
+    let report = run_flood(ClusterConfig::new(2).with_tcp_transport(), ITERATIONS);
+    // Every partition was incremented once per block call.
+    assert_eq!(report.output, ITERATIONS as f64);
+    // The run corked at least some of the flood, and every coalesced frame
+    // is a write(2) saved.
     assert!(
-        batched.network.frames_coalesced > 0,
+        report.network.frames_coalesced > 0,
         "flood produced no coalesced frames: {:?}",
-        batched.network
+        report.network
     );
     assert!(
-        batched.network.tcp_writes < per_message.network.tcp_writes,
-        "batched run wrote as often as per-message ({} vs {})",
-        batched.network.tcp_writes,
-        per_message.network.tcp_writes
-    );
-    // Accounting is batching-independent: same messages, same bytes, within
-    // the usual timing tolerance for completion-report batching.
-    let ratio = batched.network.control_bytes as f64 / per_message.network.control_bytes as f64;
-    assert!(
-        (0.8..1.2).contains(&ratio),
-        "control-byte accounting diverged: {ratio:.2}"
+        report.network.tcp_writes < report.network.messages,
+        "as many writes as messages ({} vs {})",
+        report.network.tcp_writes,
+        report.network.messages
     );
 }
 
-/// In per-message mode every TCP control message is its own write; in
-/// batched mode writes never exceed messages. Sanity for the counter the
-/// syscall-per-flush guarantee is asserted with at the endpoint level.
+/// Writes never exceed messages, on a run too short to guarantee
+/// coalescing. Sanity for the counter the syscall-per-flush guarantee is
+/// asserted with at the endpoint level.
 #[test]
 fn tcp_write_counter_is_bounded_by_messages() {
     let report = run_flood(ClusterConfig::new(2).with_tcp_transport(), 10);

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use nimbus_core::appdata::{Scalar, VecF64};
 use nimbus_core::TaskParams;
-use nimbus_driver::{Dataset, DriverContext, DriverResult, StageSpec};
+use nimbus_driver::{Dataset, DriverResult, Session, StageSpec};
 use nimbus_runtime::quickstart::{
     quickstart_driver, quickstart_setup, ADD, PARTITIONS, PARTITION_LEN, SUM,
 };
@@ -61,7 +61,7 @@ fn tcp_cluster_recovers_a_failed_worker_from_checkpoint() {
     let report = cluster
         .run_driver(|ctx| {
             let data: Dataset<VecF64> = ctx.define_dataset("data", PARTITIONS)?;
-            let add = |ctx: &mut DriverContext| -> DriverResult<()> {
+            let add = |ctx: &mut Session| -> DriverResult<()> {
                 ctx.submit_stage(
                     StageSpec::new("add", ADD)
                         .write(&data)

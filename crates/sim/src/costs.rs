@@ -66,12 +66,6 @@ impl CostProfile {
         }
     }
 
-    /// Tasks per second a template-driven controller sustains in the
-    /// auto-validated steady state (paper: >500 000 tasks/s).
-    pub fn template_steady_state_throughput(&self) -> f64 {
-        1_000_000.0 / (self.instantiate_controller_per_task + self.instantiate_worker_auto_per_task)
-    }
-
     /// Tasks per second when every instantiation requires full validation
     /// (paper: ~130 000 tasks/s).
     pub fn template_validated_throughput(&self) -> f64 {
@@ -94,8 +88,7 @@ mod tests {
     #[test]
     fn paper_throughputs_match_reported_numbers() {
         let p = CostProfile::paper();
-        // Table 2 narrative: >500k tasks/s auto-validated, ~130k validated.
-        assert!(p.template_steady_state_throughput() > 500_000.0);
+        // Table 2 narrative: ~130k tasks/s validated.
         let validated = p.template_validated_throughput();
         assert!((120_000.0..150_000.0).contains(&validated));
         assert_eq!(p.install_total_per_task(), 49.0);

@@ -101,35 +101,6 @@ pub fn fig7_iteration_time(profile: &CostProfile, kmeans: bool) -> Vec<Row> {
         .collect()
 }
 
-/// Figure 8: task throughput of Nimbus and Spark as the worker count grows.
-pub fn fig8_task_throughput(profile: &CostProfile) -> Vec<Row> {
-    let workload = WorkloadModel::logistic_regression();
-    (10..=100)
-        .step_by(10)
-        .map(|workers| {
-            let cluster = ClusterModel::new(workers);
-            let spark = simulate_iteration(&ControlPlane::spark_like(profile), &cluster, &workload);
-            let nimbus = simulate_iteration(
-                &ControlPlane::templates_steady(profile),
-                &cluster,
-                &workload,
-            );
-            Row {
-                x: workers as f64,
-                values: vec![
-                    (
-                        "spark_tasks_per_s",
-                        spark
-                            .tasks_per_second
-                            .min(profile.centralized_max_throughput),
-                    ),
-                    ("nimbus_tasks_per_s", nimbus.tasks_per_second),
-                ],
-            }
-        })
-        .collect()
-}
-
 /// Figure 9: a 35-iteration timeline of logistic regression on 100 workers
 /// while templates are enabled mid-run, 50 workers are revoked, and later
 /// returned. Returns one row per iteration with the annotation encoded as a
@@ -321,19 +292,6 @@ mod tests {
             let ratio = at100.get("spark_opt_s").unwrap() / at100.get("nimbus_s").unwrap();
             assert!(ratio > 10.0, "ratio {ratio}");
         }
-    }
-
-    #[test]
-    fn fig8_spark_saturates_nimbus_grows() {
-        let rows = fig8_task_throughput(&CostProfile::paper());
-        let last = rows.last().unwrap();
-        assert!(last.get("spark_tasks_per_s").unwrap() <= 6_000.0 + 1.0);
-        assert!(last.get("nimbus_tasks_per_s").unwrap() > 100_000.0);
-        // Superlinear growth of the task rate with workers.
-        let mid = &rows[4];
-        assert!(
-            last.get("nimbus_tasks_per_s").unwrap() > 2.0 * mid.get("nimbus_tasks_per_s").unwrap()
-        );
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl<E: TransportEndpoint> Worker<E> {
             other => {
                 self.stats.record_failure(format!(
                     "unexpected message {:?} at worker {}",
-                    other.tag(),
+                    other.tag().as_str(),
                     self.id
                 ));
             }
@@ -998,7 +998,7 @@ mod tests {
         let transfers: Vec<TransferId> = std::iter::from_fn(|| peer.try_recv().ok())
             .map(|env| match env.message {
                 Message::Data(t) => t.transfer,
-                other => panic!("unexpected {:?}", other.tag()),
+                other => panic!("unexpected {:?}", other.tag().as_str()),
             })
             .collect();
         assert_eq!(

@@ -22,7 +22,7 @@ fn main() {
     let report = cluster
         .run_driver(|ctx| {
             let data = ctx.define_dataset::<VecF64>("data", 6)?;
-            let step = |ctx: &mut DriverContext| {
+            let step = |ctx: &mut Session| {
                 ctx.block("step", |ctx| {
                     ctx.submit_stage(
                         StageSpec::new("bump", BUMP)

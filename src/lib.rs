@@ -53,8 +53,8 @@ pub use nimbus_sim as sim;
 pub use nimbus_worker as worker;
 
 pub use nimbus_driver::{
-    AsDataset, Dataset, DatasetHandle, DriverContext, DriverError, DriverResult, ScalarReadable,
-    Session, StageSpec,
+    AsDataset, Dataset, DatasetHandle, DriverError, DriverResult, ScalarReadable, Session,
+    StageSpec,
 };
 pub use nimbus_runtime::{AppSetup, Cluster, ClusterConfig, ClusterReport};
 
@@ -69,8 +69,8 @@ pub mod prelude {
     };
     pub use nimbus_core::TaskParams;
     pub use nimbus_driver::{
-        AsDataset, Dataset, DatasetHandle, DriverContext, DriverError, DriverResult,
-        PartitionMapping, ScalarReadable, Session, StageParams, StageSpec,
+        AsDataset, Dataset, DatasetHandle, DriverError, DriverResult, PartitionMapping,
+        ScalarReadable, Session, StageParams, StageSpec,
     };
     pub use nimbus_runtime::{AppSetup, Cluster, ClusterConfig, ClusterReport};
 }

@@ -34,14 +34,14 @@ fn setup(partition_len: usize) -> AppSetup {
         .object(LogicalObjectId(2), |_| Scalar::new(0.0))
 }
 
-fn define_job(ctx: &mut DriverContext, partitions: u32) -> DriverResult<Job> {
+fn define_job(ctx: &mut Session, partitions: u32) -> DriverResult<Job> {
     Ok(Job {
         data: ctx.define_dataset("data", partitions)?,
         total: ctx.define_dataset("total", 1)?,
     })
 }
 
-fn bump_and_sum(ctx: &mut DriverContext, job: &Job, delta: f64) -> DriverResult<()> {
+fn bump_and_sum(ctx: &mut Session, job: &Job, delta: f64) -> DriverResult<()> {
     ctx.block("step", |ctx| {
         ctx.submit_stage(
             StageSpec::new("bump", BUMP)
