@@ -48,13 +48,6 @@ impl DataManager {
         self.datasets.register(def);
     }
 
-    /// Looks up a dataset by name.
-    pub fn dataset_by_name(&self, name: &str) -> ControllerResult<&DatasetDef> {
-        self.datasets
-            .get_by_name(name)
-            .ok_or_else(|| ControllerError::UnknownDataset(name.to_string()))
-    }
-
     /// Looks up a dataset by id.
     pub fn dataset(&self, id: LogicalObjectId) -> Option<&DatasetDef> {
         self.datasets.get(id)
@@ -83,11 +76,6 @@ impl DataManager {
     /// allocation changes).
     pub fn set_home(&mut self, lp: LogicalPartition, worker: WorkerId) {
         self.partition_home.insert(lp, worker);
-    }
-
-    /// Current home of a partition if assigned.
-    pub fn current_home(&self, lp: LogicalPartition) -> Option<WorkerId> {
-        self.partition_home.get(&lp).copied()
     }
 
     /// Returns the instance of `lp` on `worker`, if one exists.
@@ -185,15 +173,6 @@ impl DataManager {
         lost
     }
 
-    /// Partitions whose home is currently `worker`.
-    pub fn partitions_homed_on(&self, worker: WorkerId) -> Vec<LogicalPartition> {
-        self.partition_home
-            .iter()
-            .filter(|(_, w)| **w == worker)
-            .map(|(lp, _)| *lp)
-            .collect()
-    }
-
     /// Every partition that has been assigned a home so far.
     pub fn known_partitions(&self) -> Vec<LogicalPartition> {
         self.partition_home.keys().copied().collect()
@@ -224,9 +203,9 @@ mod tests {
     #[test]
     fn dataset_lookup() {
         let dm = dm();
-        assert_eq!(dm.dataset_by_name("tdata").unwrap().partitions, 4);
-        assert!(dm.dataset_by_name("nope").is_err());
+        assert_eq!(dm.dataset(LogicalObjectId(1)).unwrap().partitions, 4);
         assert!(dm.dataset(LogicalObjectId(2)).is_some());
+        assert!(dm.dataset(LogicalObjectId(9)).is_none());
     }
 
     #[test]
@@ -294,19 +273,17 @@ mod tests {
 
         let lost = dm.drop_worker(WorkerId(0));
         assert_eq!(lost, vec![lp(1, 0)]);
-        assert!(dm.current_home(lp(1, 0)).is_none());
+        assert!(!dm.known_partitions().contains(&lp(1, 0)));
         assert_eq!(dm.instance_count(), 1);
     }
 
     #[test]
-    fn partitions_homed_on_lists_assignments() {
+    fn known_partitions_lists_assignments() {
         let mut dm = dm();
         let ws = vec![WorkerId(0), WorkerId(1)];
         for p in 0..4 {
             dm.home_of(lp(1, p), &ws).unwrap();
         }
-        assert_eq!(dm.partitions_homed_on(WorkerId(0)).len(), 2);
-        assert_eq!(dm.partitions_homed_on(WorkerId(1)).len(), 2);
         assert_eq!(dm.known_partitions().len(), 4);
     }
 }

@@ -10,8 +10,6 @@ use nimbus_core::CoreError;
 pub enum ControllerError {
     /// A request referenced a basic block that was never recorded.
     UnknownBlock(String),
-    /// A request referenced a dataset that was never defined.
-    UnknownDataset(String),
     /// A partition referenced by a task has no defined dataset.
     UnknownPartition(LogicalPartition),
     /// There are no workers in the current allocation.
@@ -33,7 +31,6 @@ impl fmt::Display for ControllerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ControllerError::UnknownBlock(name) => write!(f, "unknown basic block '{name}'"),
-            ControllerError::UnknownDataset(name) => write!(f, "unknown dataset '{name}'"),
             ControllerError::UnknownPartition(lp) => write!(f, "unknown partition {lp}"),
             ControllerError::NoWorkers => write!(f, "no workers in the current allocation"),
             ControllerError::UnknownWorker(w) => write!(f, "worker {w} is not allocated"),

@@ -13,7 +13,10 @@ pub mod controller;
 pub mod data_manager;
 pub mod error;
 pub mod expansion;
+mod job;
 pub mod template_manager;
+#[cfg(test)]
+mod tests;
 
 pub use assignment::AssignmentPolicy;
 pub use controller::{Controller, ControllerConfig};

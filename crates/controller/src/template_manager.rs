@@ -184,11 +184,6 @@ impl TemplateManager {
         self.recording.is_some()
     }
 
-    /// Name of the block currently being recorded, if any.
-    pub fn recording_name(&self) -> Option<&str> {
-        self.recording.as_ref().map(|r| r.name.as_str())
-    }
-
     /// Starts recording a basic block.
     pub fn start_recording(&mut self, name: &str) -> ControllerResult<()> {
         if let Some(r) = &self.recording {
@@ -266,18 +261,6 @@ impl TemplateManager {
                 Ok(())
             }
         }
-    }
-
-    /// Installs a pre-built group (used when regenerating templates after an
-    /// allocation change).
-    pub fn install_group(&mut self, group: WorkerTemplateGroup) -> Vec<(WorkerId, WorkerTemplate)> {
-        let installs: Vec<(WorkerId, WorkerTemplate)> = group
-            .per_worker
-            .iter()
-            .map(|(w, t)| (*w, t.clone()))
-            .collect();
-        self.registry.install_group(group);
-        installs
     }
 
     /// Queues migration edits for the group currently serving `block`,
@@ -449,14 +432,6 @@ impl TemplateManager {
             .filter_map(|id| self.registry.group(id).ok())
             .filter_map(|g| g.per_worker.get(&worker).cloned())
             .collect()
-    }
-
-    /// Number of edits queued for the given group.
-    pub fn pending_edit_count(&self, group: TemplateId) -> usize {
-        self.pending_edits
-            .get(&group)
-            .map(|m| m.values().map(Vec::len).sum())
-            .unwrap_or(0)
     }
 
     /// Plans the execution of an installed group: validation, patching,

@@ -2,18 +2,11 @@
 
 use std::fmt;
 
-use crate::ids::{CommandId, LogicalPartition, PhysicalObjectId, TaskId, TemplateId, WorkerId};
+use crate::ids::{LogicalPartition, PhysicalObjectId, TaskId, TemplateId, WorkerId};
 
 /// Errors produced by the core control-plane data structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {
-    /// A command graph references a command id that is not part of the graph.
-    UnknownCommand(CommandId),
-    /// A command graph contains a dependency cycle.
-    DependencyCycle {
-        /// The commands that could not be topologically ordered.
-        involved: Vec<CommandId>,
-    },
     /// A task referenced a logical partition that was never defined.
     UnknownLogicalPartition(LogicalPartition),
     /// A physical object was referenced that does not exist on the worker.
@@ -64,10 +57,6 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::UnknownCommand(id) => write!(f, "unknown command {id}"),
-            CoreError::DependencyCycle { involved } => {
-                write!(f, "dependency cycle involving {} commands", involved.len())
-            }
             CoreError::UnknownLogicalPartition(lp) => {
                 write!(f, "unknown logical partition {lp}")
             }
@@ -117,8 +106,6 @@ mod tests {
             actual: 79,
         };
         assert!(e.to_string().contains("expected 80"));
-        let e = CoreError::UnknownCommand(CommandId(9));
-        assert!(e.to_string().contains('9'));
     }
 
     #[test]

@@ -1,20 +1,10 @@
-//! Command graphs: the controller's working representation of a basic block.
-//!
-//! While recording a basic block (between the driver's template-start and
-//! template-finish messages), the controller keeps the expanded commands in a
-//! [`CommandGraph`]: every command is tagged with its assigned worker and the
-//! graph knows how to validate before-sets, detect cycles, and produce
-//! per-worker topological orders. Once the block finishes, the graph is
-//! post-processed into the table-based template structures
-//! ([`crate::template`]) used for cheap re-instantiation.
-
-use std::collections::{HashMap, VecDeque};
+//! A command tagged with the worker it is assigned to: the unit the
+//! controller's expansion, planning and dispatch paths exchange.
 
 use serde::{Deserialize, Serialize};
 
-use crate::command::{Command, CommandKind};
-use crate::error::{CoreError, CoreResult};
-use crate::ids::{CommandId, WorkerId};
+use crate::command::Command;
+use crate::ids::WorkerId;
 
 /// A command together with the worker it is assigned to.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -23,314 +13,4 @@ pub struct AssignedCommand {
     pub command: Command,
     /// The worker that will execute it.
     pub worker: WorkerId,
-}
-
-/// A directed acyclic graph of assigned commands.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct CommandGraph {
-    commands: Vec<AssignedCommand>,
-    index: HashMap<CommandId, usize>,
-}
-
-impl CommandGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a command assigned to a worker. Returns an error if the command id
-    /// is already present.
-    pub fn add(&mut self, command: Command, worker: WorkerId) -> CoreResult<()> {
-        if self.index.contains_key(&command.id) {
-            return Err(CoreError::Invariant(format!(
-                "command {} added twice to graph",
-                command.id
-            )));
-        }
-        self.index.insert(command.id, self.commands.len());
-        self.commands.push(AssignedCommand { command, worker });
-        Ok(())
-    }
-
-    /// Number of commands in the graph.
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// Returns true if the graph has no commands.
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
-    }
-
-    /// Number of application task commands in the graph.
-    pub fn task_count(&self) -> usize {
-        self.commands
-            .iter()
-            .filter(|c| c.command.kind.is_task())
-            .count()
-    }
-
-    /// Looks up a command by id.
-    pub fn get(&self, id: CommandId) -> Option<&AssignedCommand> {
-        self.index.get(&id).map(|i| &self.commands[*i])
-    }
-
-    /// Returns the worker a command is assigned to.
-    pub fn worker_of(&self, id: CommandId) -> Option<WorkerId> {
-        self.get(id).map(|c| c.worker)
-    }
-
-    /// Iterates over all assigned commands in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &AssignedCommand> {
-        self.commands.iter()
-    }
-
-    /// Groups commands by worker, preserving insertion order within a worker.
-    pub fn per_worker(&self) -> HashMap<WorkerId, Vec<&AssignedCommand>> {
-        let mut map: HashMap<WorkerId, Vec<&AssignedCommand>> = HashMap::new();
-        for c in &self.commands {
-            map.entry(c.worker).or_default().push(c);
-        }
-        map
-    }
-
-    /// Returns the set of workers that appear in the graph.
-    pub fn workers(&self) -> Vec<WorkerId> {
-        let mut ws: Vec<WorkerId> = self.commands.iter().map(|c| c.worker).collect();
-        ws.sort_unstable();
-        ws.dedup();
-        ws
-    }
-
-    /// Validates structural invariants:
-    ///
-    /// * every before-set entry references a command present in the graph,
-    /// * before-sets only reference commands on the same worker (cross-worker
-    ///   dependencies must be expressed as send/receive copy pairs), and
-    /// * the dependency relation is acyclic.
-    pub fn validate(&self) -> CoreResult<()> {
-        for c in &self.commands {
-            for dep in &c.command.before {
-                let dep_cmd = self.get(*dep).ok_or(CoreError::UnknownCommand(*dep))?;
-                if dep_cmd.worker != c.worker {
-                    return Err(CoreError::Invariant(format!(
-                        "command {} on worker {} depends on command {} on worker {}; \
-                         cross-worker dependencies must use copy commands",
-                        c.command.id, c.worker, dep, dep_cmd.worker
-                    )));
-                }
-            }
-        }
-        self.topological_order().map(|_| ())
-    }
-
-    /// Returns a topological order of command ids, or a cycle error.
-    pub fn topological_order(&self) -> CoreResult<Vec<CommandId>> {
-        let mut in_degree: HashMap<CommandId, usize> = HashMap::with_capacity(self.commands.len());
-        let mut dependents: HashMap<CommandId, Vec<CommandId>> = HashMap::new();
-        for c in &self.commands {
-            in_degree.entry(c.command.id).or_insert(0);
-            for dep in &c.command.before {
-                if !self.index.contains_key(dep) {
-                    return Err(CoreError::UnknownCommand(*dep));
-                }
-                *in_degree.entry(c.command.id).or_insert(0) += 1;
-                dependents.entry(*dep).or_default().push(c.command.id);
-            }
-        }
-        let mut queue: VecDeque<CommandId> = self
-            .commands
-            .iter()
-            .map(|c| c.command.id)
-            .filter(|id| in_degree[id] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(self.commands.len());
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            if let Some(deps) = dependents.get(&id) {
-                for d in deps {
-                    let deg = in_degree.get_mut(d).expect("dependent has in-degree");
-                    *deg -= 1;
-                    if *deg == 0 {
-                        queue.push_back(*d);
-                    }
-                }
-            }
-        }
-        if order.len() != self.commands.len() {
-            let involved = self
-                .commands
-                .iter()
-                .map(|c| c.command.id)
-                .filter(|id| !order.contains(id))
-                .collect();
-            return Err(CoreError::DependencyCycle { involved });
-        }
-        Ok(order)
-    }
-
-    /// Returns the commands with an empty before set (the roots).
-    pub fn roots(&self) -> Vec<CommandId> {
-        self.commands
-            .iter()
-            .filter(|c| c.command.before.is_empty())
-            .map(|c| c.command.id)
-            .collect()
-    }
-
-    /// Total estimated wire size of all commands, in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.commands.iter().map(|c| c.command.wire_size()).sum()
-    }
-
-    /// Counts commands per kind tag (for statistics).
-    pub fn kind_histogram(&self) -> HashMap<&'static str, usize> {
-        let mut h = HashMap::new();
-        for c in &self.commands {
-            *h.entry(c.command.kind.tag()).or_insert(0) += 1;
-        }
-        h
-    }
-
-    /// Consumes the graph and returns the commands in insertion order.
-    pub fn into_commands(self) -> Vec<AssignedCommand> {
-        self.commands
-    }
-
-    /// Returns the number of commands whose kind matches `pred`.
-    pub fn count_matching(&self, pred: impl Fn(&CommandKind) -> bool) -> usize {
-        self.commands
-            .iter()
-            .filter(|c| pred(&c.command.kind))
-            .count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ids::{FunctionId, PhysicalObjectId, TaskId, TransferId};
-
-    fn task(id: u64, before: Vec<u64>) -> Command {
-        Command::new(
-            CommandId(id),
-            CommandKind::RunTask {
-                function: FunctionId(1),
-                task: TaskId(id),
-            },
-        )
-        .with_before(before.into_iter().map(CommandId).collect())
-    }
-
-    #[test]
-    fn add_and_lookup() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        g.add(task(2, vec![1]), WorkerId(0)).unwrap();
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.task_count(), 2);
-        assert_eq!(g.worker_of(CommandId(2)), Some(WorkerId(0)));
-        assert_eq!(g.roots(), vec![CommandId(1)]);
-        assert!(g.validate().is_ok());
-    }
-
-    #[test]
-    fn duplicate_command_rejected() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        assert!(g.add(task(1, vec![]), WorkerId(0)).is_err());
-    }
-
-    #[test]
-    fn topological_order_respects_dependencies() {
-        let mut g = CommandGraph::new();
-        g.add(task(3, vec![1, 2]), WorkerId(0)).unwrap();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        g.add(task(2, vec![1]), WorkerId(0)).unwrap();
-        let order = g.topological_order().unwrap();
-        let pos = |id: u64| order.iter().position(|x| *x == CommandId(id)).unwrap();
-        assert!(pos(1) < pos(2));
-        assert!(pos(2) < pos(3));
-        assert!(pos(1) < pos(3));
-    }
-
-    #[test]
-    fn cycle_detected() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![2]), WorkerId(0)).unwrap();
-        g.add(task(2, vec![1]), WorkerId(0)).unwrap();
-        assert!(matches!(
-            g.topological_order(),
-            Err(CoreError::DependencyCycle { .. })
-        ));
-    }
-
-    #[test]
-    fn dangling_dependency_detected() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![42]), WorkerId(0)).unwrap();
-        assert!(matches!(
-            g.validate(),
-            Err(CoreError::UnknownCommand(CommandId(42)))
-        ));
-    }
-
-    #[test]
-    fn cross_worker_dependency_rejected() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        g.add(task(2, vec![1]), WorkerId(1)).unwrap();
-        assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn cross_worker_via_copies_is_valid() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        g.add(
-            Command::new(
-                CommandId(2),
-                CommandKind::SendCopy {
-                    from: PhysicalObjectId(1),
-                    to_worker: WorkerId(1),
-                    transfer: TransferId(7),
-                },
-            )
-            .with_before(vec![CommandId(1)]),
-            WorkerId(0),
-        )
-        .unwrap();
-        g.add(
-            Command::new(
-                CommandId(3),
-                CommandKind::ReceiveCopy {
-                    to: PhysicalObjectId(2),
-                    from_worker: WorkerId(0),
-                    transfer: TransferId(7),
-                },
-            ),
-            WorkerId(1),
-        )
-        .unwrap();
-        g.add(task(4, vec![3]), WorkerId(1)).unwrap();
-        assert!(g.validate().is_ok());
-        assert_eq!(g.workers(), vec![WorkerId(0), WorkerId(1)]);
-        assert_eq!(g.count_matching(|k| k.is_network_copy()), 2);
-        let hist = g.kind_histogram();
-        assert_eq!(hist["task"], 2);
-        assert_eq!(hist["send"], 1);
-    }
-
-    #[test]
-    fn per_worker_grouping_preserves_order() {
-        let mut g = CommandGraph::new();
-        g.add(task(1, vec![]), WorkerId(0)).unwrap();
-        g.add(task(2, vec![]), WorkerId(1)).unwrap();
-        g.add(task(3, vec![1]), WorkerId(0)).unwrap();
-        let per = g.per_worker();
-        assert_eq!(per[&WorkerId(0)].len(), 2);
-        assert_eq!(per[&WorkerId(0)][0].command.id, CommandId(1));
-        assert_eq!(per[&WorkerId(0)][1].command.id, CommandId(3));
-        assert_eq!(per[&WorkerId(1)].len(), 1);
-    }
 }

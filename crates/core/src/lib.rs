@@ -21,7 +21,7 @@
 //! * [`command`] — the four control-plane command families;
 //! * [`task`] — logical tasks as submitted by the driver;
 //! * [`data`] / [`versioning`] — mutable, versioned data objects;
-//! * [`graph`] — command graphs with dependency validation;
+//! * [`graph`] — commands tagged with their assigned worker;
 //! * [`template`] — controller templates, worker templates, edits, patches;
 //! * [`lineage`] / [`checkpoint`] — fault-tolerance bookkeeping;
 //! * [`stats`] — control-plane statistics used by the evaluation harness.
@@ -53,7 +53,7 @@ pub use clock::{Clock, VirtualClock};
 pub use command::{Command, CommandKind};
 pub use data::{DatasetDef, DatasetRegistry, PhysicalInstance};
 pub use error::{CoreError, CoreResult};
-pub use graph::{AssignedCommand, CommandGraph};
+pub use graph::AssignedCommand;
 pub use ids::{
     CheckpointId, CommandId, FunctionId, IdGenerator, JobId, LogicalObjectId, LogicalPartition,
     PartitionIndex, PhysicalObjectId, StageId, TaskId, TemplateId, TransferId, Version, WorkerId,

@@ -124,17 +124,6 @@ impl TemplateRegistry {
             })
     }
 
-    /// All groups generated for a controller template, oldest first.
-    pub fn groups_for_controller(
-        &self,
-        controller_template: TemplateId,
-    ) -> Vec<&WorkerTemplateGroup> {
-        self.groups_by_controller
-            .get(&controller_template)
-            .map(|ids| ids.iter().filter_map(|id| self.groups.get(id)).collect())
-            .unwrap_or_default()
-    }
-
     /// Ids of every installed worker-template group, sorted for determinism.
     pub fn group_ids(&self) -> Vec<TemplateId> {
         let mut ids: Vec<TemplateId> = self.groups.keys().copied().collect();
@@ -345,7 +334,6 @@ mod tests {
         assert!(reg
             .find_group_for_workers(TemplateId(1), &[WorkerId(2)])
             .is_none());
-        assert_eq!(reg.groups_for_controller(TemplateId(1)).len(), 2);
     }
 
     #[test]

@@ -8,15 +8,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nimbus_core::ids::{
-    CommandId, FunctionId, PhysicalObjectId, StageId, TaskId, TemplateId, WorkerId,
-};
+use nimbus_core::ids::{FunctionId, PhysicalObjectId, StageId, TaskId, TemplateId, WorkerId};
 use nimbus_core::template::{
     ControllerTaskEntry, ControllerTemplate, InstantiationParams, SkeletonEntry, SkeletonKind,
     TemplateEdit, WorkerInstantiation, WorkerTemplate,
 };
 use nimbus_core::versioning::VersionMap;
-use nimbus_core::{Command, CommandGraph, CommandKind, LogicalPartition, TaskParams};
+use nimbus_core::{LogicalPartition, TaskParams};
 
 const CASES: u64 = 64;
 
@@ -35,50 +33,6 @@ fn params_round_trip() {
         let values: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e9..1e9)).collect();
         let p = TaskParams::from_f64s(&values);
         assert_eq!(p.as_f64s().unwrap(), values, "seed {seed}");
-    }
-}
-
-/// A command graph built with only backward dependencies always has a
-/// topological order that respects every before edge.
-#[test]
-fn command_graph_topological_order_respects_dependencies() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let count = rng.gen_range(1usize..40);
-        let mut graph = CommandGraph::new();
-        let mut befores: Vec<Vec<CommandId>> = Vec::with_capacity(count);
-        for i in 0..count {
-            let before: Vec<CommandId> = if i == 0 {
-                Vec::new()
-            } else {
-                let deps = rng.gen_range(0usize..4);
-                let mut b: Vec<CommandId> = (0..deps)
-                    .map(|_| CommandId(rng.gen_range(0usize..i) as u64 + 1))
-                    .collect();
-                b.sort_unstable();
-                b.dedup();
-                b
-            };
-            let command = Command::new(
-                CommandId(i as u64 + 1),
-                CommandKind::RunTask {
-                    function: FunctionId(1),
-                    task: TaskId(i as u64),
-                },
-            )
-            .with_before(before.clone());
-            befores.push(before);
-            graph.add(command, WorkerId(0)).unwrap();
-        }
-        assert!(graph.validate().is_ok(), "seed {seed}");
-        let order = graph.topological_order().unwrap();
-        assert_eq!(order.len(), count, "seed {seed}");
-        let pos = |id: CommandId| order.iter().position(|x| *x == id).unwrap();
-        for ac in graph.iter() {
-            for dep in &ac.command.before {
-                assert!(pos(*dep) < pos(ac.command.id), "seed {seed}");
-            }
-        }
     }
 }
 

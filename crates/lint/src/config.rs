@@ -49,10 +49,11 @@ pub const CLOCK_ALLOWED: &[(&str, &str)] = &[
 /// input), `false` when only `unwrap`/`expect` are denied (modules whose
 /// indices are internal invariants).
 pub const PANIC_FREE: &[(&str, bool)] = &[
-    // Controller dispatch path: a panic here takes down every job on the
-    // controller. Internal-invariant indexing is allowed; unwrap/expect
-    // are not.
+    // Controller dispatch path — the shell and the per-job machine it
+    // drives: a panic here takes down every job on the controller.
+    // Internal-invariant indexing is allowed; unwrap/expect are not.
     ("crates/controller/src/controller.rs", false),
+    ("crates/controller/src/job.rs", false),
     // Codec decode operates on untrusted bytes off the wire: indexing is
     // denied too, so a short frame can never panic the process.
     ("crates/net/src/codec.rs", true),
@@ -172,6 +173,7 @@ mod tests {
             panic_policy("crates/controller/src/controller.rs"),
             Some(false)
         );
+        assert_eq!(panic_policy("crates/controller/src/job.rs"), Some(false));
         assert_eq!(panic_policy("crates/worker/src/worker.rs"), None);
     }
 }

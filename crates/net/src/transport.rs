@@ -12,8 +12,9 @@
 //!
 //! The [`TransportEndpoint`] trait abstracts one node's connection to *some*
 //! fabric; [`Endpoint`] (this module) and [`crate::tcp::TcpEndpoint`] are the
-//! two implementations. Nodes (controller, workers, driver) are generic over
-//! it, so the same control-plane code runs in-process and across machines.
+//! two implementations. Nodes take any implementation (workers and drivers
+//! as a type parameter, the controller behind a box), so the same
+//! control-plane code runs in-process and across machines.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};

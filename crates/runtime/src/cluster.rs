@@ -77,7 +77,6 @@ pub struct Cluster {
     functions: Arc<FunctionRegistry>,
     factories: Arc<DataFactoryRegistry>,
     spin_wait: Option<Duration>,
-    completion_batch: usize,
     worker_ids: Vec<WorkerId>,
     /// Number of additional driver clients handed out by
     /// [`Cluster::connect_driver`] (each gets its own `NodeId::Client`).
@@ -113,7 +112,6 @@ impl Cluster {
             functions,
             factories,
             spin_wait: config.spin_wait,
-            completion_batch: config.completion_batch,
             worker_ids: worker_ids.clone(),
             clients: 0,
         };
@@ -154,7 +152,6 @@ impl Cluster {
             Arc::clone(&self.vault),
         );
         worker_config.spin_wait = self.spin_wait;
-        worker_config.completion_batch = self.completion_batch;
         worker_config.kill_switch = Some(Arc::clone(&kill));
         let handle = match &self.fabric {
             Fabric::InProcess(network) => {
@@ -380,9 +377,7 @@ fn spawn_worker<E: TransportEndpoint>(id: WorkerId, worker: Worker<E>) -> JoinHa
         .expect("spawn worker thread")
 }
 
-fn spawn_controller<E: TransportEndpoint>(
-    controller: Controller<E>,
-) -> JoinHandle<ControlPlaneStats> {
+fn spawn_controller(controller: Controller) -> JoinHandle<ControlPlaneStats> {
     std::thread::Builder::new()
         .name("nimbus-controller".to_string())
         .spawn(move || controller.run())

@@ -42,8 +42,6 @@ pub struct ClusterConfig {
     pub checkpoint_every: Option<u64>,
     /// Partition assignment policy.
     pub policy: AssignmentPolicy,
-    /// Worker completion-report batch size.
-    pub completion_batch: usize,
     /// How long the controller waits for a failed worker to rejoin before
     /// recovering onto the survivors (TCP transports; `None` recovers
     /// immediately, the pre-rejoin behavior).
@@ -62,7 +60,6 @@ impl ClusterConfig {
             spin_wait: None,
             checkpoint_every: None,
             policy: AssignmentPolicy::hash(),
-            completion_batch: 64,
             rejoin_grace: None,
         }
     }

@@ -43,8 +43,6 @@ pub struct WorkerConfig {
     /// Optional artificial per-task duration (spin wait), matching how the
     /// paper equalizes task durations across frameworks.
     pub spin_wait: Option<Duration>,
-    /// How many completions to accumulate before reporting to the controller.
-    pub completion_batch: usize,
     /// Abrupt-death switch for fault-injection tests: when it flips to true
     /// the worker stops immediately — no final completion flush, no goodbye
     /// to the controller — emulating a killed process in thread-based
@@ -69,7 +67,6 @@ impl WorkerConfig {
             factories,
             vault,
             spin_wait: None,
-            completion_batch: 64,
             kill_switch: None,
             clock: Clock::Real,
         }
@@ -78,6 +75,10 @@ impl WorkerConfig {
 
 /// Upper bound on retained drop tombstones (see `Worker::dropped_jobs`).
 const MAX_TOMBSTONES: usize = 65_536;
+
+/// How many completions a job accumulates before the worker reports them to
+/// the controller in one `CommandsCompleted` (an idle worker flushes sooner).
+const COMPLETION_BATCH: usize = 64;
 
 /// One job's isolated execution state on a worker. Everything a command can
 /// touch lives here, so jobs sharing the worker cannot observe each other.
@@ -125,7 +126,6 @@ pub struct Worker<E: TransportEndpoint = Endpoint> {
     factories: Arc<DataFactoryRegistry>,
     vault: Arc<ObjectVault>,
     stats: WorkerStats,
-    completion_batch: usize,
     /// Data transfers the current burst of commands produced, per peer in
     /// send order. They leave together — one `send_many`, on TCP one
     /// `write(2)`, per peer — before a task starts, before completions are
@@ -152,7 +152,6 @@ impl<E: TransportEndpoint> Worker<E> {
             factories: config.factories,
             vault: config.vault,
             stats: WorkerStats::new(),
-            completion_batch: config.completion_batch.max(1),
             outbound: Vec::new(),
             running: true,
             kill_switch: config.kill_switch,
@@ -447,7 +446,7 @@ impl<E: TransportEndpoint> Worker<E> {
         let rt = &mut self.jobs[job_index];
         rt.queue.complete(id);
         rt.completed.push(id);
-        if rt.completed.len() >= self.completion_batch {
+        if rt.completed.len() >= COMPLETION_BATCH {
             self.flush_completions(job_index, false);
         }
     }
@@ -581,7 +580,7 @@ impl<E: TransportEndpoint> Worker<E> {
         if rt.completed.is_empty() {
             return;
         }
-        if !force && rt.completed.len() < self.completion_batch {
+        if !force && rt.completed.len() < COMPLETION_BATCH {
             return;
         }
         let job = rt.job;
