@@ -54,6 +54,11 @@ pub const PANIC_FREE: &[(&str, bool)] = &[
     // Internal-invariant indexing is allowed; unwrap/expect are not.
     ("crates/controller/src/controller.rs", false),
     ("crates/controller/src/job.rs", false),
+    // Worker hot path — the event loop and the command queue it drives:
+    // run-table offsets come from controller-issued ids and go through
+    // `get`/`get_mut`; a panic here loses every job's state on the worker.
+    ("crates/worker/src/queue.rs", false),
+    ("crates/worker/src/worker.rs", false),
     // Codec decode operates on untrusted bytes off the wire: indexing is
     // denied too, so a short frame can never panic the process.
     ("crates/net/src/codec.rs", true),
@@ -174,6 +179,8 @@ mod tests {
             Some(false)
         );
         assert_eq!(panic_policy("crates/controller/src/job.rs"), Some(false));
-        assert_eq!(panic_policy("crates/worker/src/worker.rs"), None);
+        assert_eq!(panic_policy("crates/worker/src/queue.rs"), Some(false));
+        assert_eq!(panic_policy("crates/worker/src/worker.rs"), Some(false));
+        assert_eq!(panic_policy("crates/worker/src/executor.rs"), None);
     }
 }

@@ -90,7 +90,8 @@ mod tests {
         let src = "fn f() { x.unwrap(); y.expect(\"m\"); }";
         assert_eq!(run(CODEC, src).len(), 2);
         assert_eq!(run(CONTROLLER, src).len(), 2);
-        assert!(run("crates/worker/src/worker.rs", src).is_empty());
+        assert_eq!(run("crates/worker/src/worker.rs", src).len(), 2);
+        assert!(run("crates/worker/src/executor.rs", src).is_empty());
     }
 
     #[test]

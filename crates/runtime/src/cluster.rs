@@ -59,7 +59,8 @@ pub struct ClusterReport<T> {
 }
 
 /// One worker thread of the cluster: its join handle (absent once killed or
-/// joined) and the abrupt-death switch fault injection flips.
+/// joined) and the stop switch — flipped by fault injection for an abrupt
+/// death, and by `join` for whoever still runs once the controller is gone.
 struct WorkerSlot {
     id: WorkerId,
     handle: Option<JoinHandle<WorkerStats>>,
@@ -354,6 +355,11 @@ impl Cluster {
         let mut workers = std::mem::take(&mut self.reaped);
         for slot in self.workers.drain(..) {
             if let Some(handle) = slot.handle {
+                // The controller is gone, so a worker still running has
+                // nobody left to report to — and one the controller never
+                // met (its hello lost the race with the end of the job) was
+                // never sent `Shutdown` and would wait for it forever.
+                slot.kill.store(true, Ordering::Relaxed);
                 workers.push(
                     handle
                         .join()

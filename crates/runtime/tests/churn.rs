@@ -213,7 +213,15 @@ fn added_worker_joins_via_edits_and_executes_tasks() {
             16,
             ChurnPoint::AfterFetch(5),
             |cluster: &mut Cluster| {
+                // The joiner's hello races the remaining iterations; what is
+                // asserted below is what happens once it has been admitted
+                // (the initial workers' hellos were acknowledged long ago).
+                let admitted = |c: &Cluster| c.network_stats().count("rejoin_accepted");
+                let before = admitted(cluster);
                 cluster.add_worker();
+                while admitted(cluster) == before {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
             },
         )
     });

@@ -181,11 +181,11 @@ impl<E: TransportEndpoint> Worker<E> {
         if self.dropped_jobs.contains(&job) {
             return None;
         }
-        if let Some(i) = self.jobs.iter().position(|j| j.job == job) {
-            return Some(&mut self.jobs[i]);
-        }
-        self.jobs.push(JobRuntime::new(job));
-        Some(self.jobs.last_mut().expect("just pushed"))
+        let index = self.runtime_index(job).unwrap_or_else(|| {
+            self.jobs.push(JobRuntime::new(job));
+            self.jobs.len() - 1
+        });
+        self.jobs.get_mut(index)
     }
 
     fn runtime_index(&self, job: JobId) -> Option<usize> {
@@ -253,10 +253,9 @@ impl<E: TransportEndpoint> Worker<E> {
         // processing so data transfers keep flowing.
         let mut executed = 0usize;
         while executed < 64 {
-            let Some(job_index) = self.next_ready_job() else {
+            let Some((job_index, command)) = self.next_ready() else {
                 break;
             };
-            let command = self.jobs[job_index].queue.pop_ready().expect("has ready");
             if command.kind.is_task() {
                 // A task may run long; peers must not wait it out for data
                 // that is already theirs.
@@ -270,15 +269,15 @@ impl<E: TransportEndpoint> Worker<E> {
         self.flush_all_completions(idle);
     }
 
-    /// Picks the next job with a runnable command, continuing round-robin
-    /// from where the previous pick left off.
-    fn next_ready_job(&mut self) -> Option<usize> {
+    /// Pops the next runnable command and the job it belongs to, continuing
+    /// round-robin over the jobs from where the previous pick left off.
+    fn next_ready(&mut self) -> Option<(usize, Command)> {
         let n = self.jobs.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
-            if self.jobs[i].queue.ready_len() > 0 {
+            if let Some(command) = self.jobs[i].queue.pop_ready() {
                 self.rr = (i + 1) % n;
-                return Some(i);
+                return Some((i, command));
             }
         }
         None
