@@ -396,15 +396,15 @@ impl SimCluster {
             })
         } else {
             let link = view.eligible[if chaotic { index } else { 0 }];
-            let network = self.network.clone();
+            let envelope = self
+                .scheduler
+                .with_state(|st| st.pop_link(link))
+                .expect("eligible link was empty");
+            let (from, to) = (envelope.from, envelope.to);
+            let tag = envelope.message.tag().as_str();
+            let delivered = self.network.deliver_now(envelope);
             self.scheduler.with_state(|st| {
-                let envelope = st.pop_link(link).expect("eligible link was empty");
-                let (from, to) = (envelope.from, envelope.to);
-                let tag = envelope.message.tag().as_str();
-                // Safe under the scheduler lock: every other thread that
-                // touches the sender map is parked at quiescence, and the
-                // map's writers all run on this harness thread.
-                if network.deliver_now(envelope) {
+                if delivered {
                     st.push_event(TraceEvent::Deliver { from, to, tag });
                     scheduler.grant_locked(st, to, HookWake::Delivered);
                 } else {

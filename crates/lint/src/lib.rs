@@ -1,22 +1,24 @@
 //! `nimbus-lint`: workspace static analysis for the runtime's own
 //! invariants.
 //!
-//! Three domain lints run over every workspace source file on each
+//! Two domain lints run over every workspace source file on each
 //! invocation (`cargo run -p nimbus-lint`, the `workspace_clean` tier-1
 //! test, and the CI `lint` job):
 //!
-//! | rule         | invariant                                                    |
-//! |--------------|--------------------------------------------------------------|
-//! | `clock`      | no wall-clock reads outside `Clock` + allowlist              |
-//! | `lock-order` | no cycles in the "acquired while held" graph                 |
-//! | `panic`      | no `unwrap`/`expect`/indexing in designated hot modules      |
+//! | rule    | invariant                                               |
+//! |---------|---------------------------------------------------------|
+//! | `clock` | no wall-clock reads outside `Clock` + allowlist         |
+//! | `panic` | no `unwrap`/`expect`/indexing in designated hot modules |
 //!
-//! Two earlier rules are gone because the type system now holds what they
-//! checked: `wire` (message enums, tag table and golden vectors in
+//! Three earlier rules are gone because something stronger now holds what
+//! they checked: `wire` (message enums, tag table and golden vectors in
 //! lockstep) became `nimbus_net::Tag`, declared once, with exhaustive
 //! `tag()` matches and the vector census test in `nimbus-net`; `job-scope`
 //! (command-stream variants carry a job) became the wildcard-free `job()`
-//! on `ControllerToWorker` and `WorkerToController`.
+//! on `ControllerToWorker` and `WorkerToController`; `lock-order` (no
+//! cycles in the "acquired while held" graph) became a flat discipline —
+//! no thread holds two locks at once — that the vendored `parking_lot`
+//! checks on every acquisition in debug builds.
 //!
 //! A finding can be waived in place with a comment on the same or the
 //! preceding line — `nimbus-lint: allow(<rule>) — <reason>` (`--` works
@@ -30,7 +32,6 @@ use std::path::Path;
 
 pub mod clock;
 pub mod config;
-pub mod locks;
 pub mod panic_free;
 pub mod report;
 pub mod scanner;
@@ -56,9 +57,6 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
         panic_free::check(file, rel, &mut diags);
     }
 
-    // Whole-workspace lock-order analysis.
-    let lock_sites = locks::check(&scanned, &rels, &mut diags);
-
     // Waivers.
     apply_waivers(&scanned, &rels, &mut diags);
 
@@ -66,7 +64,6 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport {
         diagnostics: diags,
         files_scanned: scanned.len(),
-        lock_sites,
     };
     report.diagnostics.shrink_to_fit();
     Ok(report)

@@ -14,8 +14,6 @@ use std::path::Path;
 pub enum Rule {
     /// Wall-clock reads outside the `Clock` abstraction.
     Clock,
-    /// Cycles in the inter-function lock acquisition graph.
-    LockOrder,
     /// `unwrap`/`expect`/indexing in designated hot modules.
     Panic,
     /// Malformed or unused waiver comments.
@@ -27,15 +25,14 @@ impl Rule {
     pub fn slug(self) -> &'static str {
         match self {
             Rule::Clock => "clock",
-            Rule::LockOrder => "lock-order",
             Rule::Panic => "panic",
             Rule::Waiver => "waiver",
         }
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 4] {
-        [Rule::Clock, Rule::LockOrder, Rule::Panic, Rule::Waiver]
+    pub fn all() -> [Rule; 3] {
+        [Rule::Clock, Rule::Panic, Rule::Waiver]
     }
 }
 
@@ -84,8 +81,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Number of lock acquisition sites seen (lock-order rule telemetry).
-    pub lock_sites: usize,
 }
 
 impl LintReport {
@@ -130,11 +125,18 @@ impl LintReport {
             let _ = writeln!(out);
         }
         let waived = self.diagnostics.len() - self.unwaived().count();
+        // `waiver` polices the waivers themselves; the rest are the rules.
+        let rules: Vec<&str> = Rule::all()
+            .into_iter()
+            .filter(|r| *r != Rule::Waiver)
+            .map(Rule::slug)
+            .collect();
         let _ = writeln!(
             out,
-            "nimbus-lint: {} file(s), {} lock site(s), {} finding(s) ({} waived, {} failing)",
+            "nimbus-lint: {} rule(s) ({}), {} file(s), {} finding(s) ({} waived, {} failing)",
+            rules.len(),
+            rules.join(", "),
             self.files_scanned,
-            self.lock_sites,
             self.diagnostics.len(),
             waived,
             self.unwaived().count(),
@@ -146,7 +148,6 @@ impl LintReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(out, "  \"lock_sites\": {},", self.lock_sites);
         let _ = writeln!(out, "  \"failing\": {},", self.unwaived().count());
         out.push_str("  \"diagnostics\": [\n");
         for (i, d) in self.diagnostics.iter().enumerate() {
@@ -239,6 +240,7 @@ mod tests {
             ..Default::default()
         };
         let t = r.render_table();
+        assert!(t.contains("2 rule(s) (clock, panic)"), "{t}");
         assert!(t.contains("7 file(s)"));
         assert!(t.contains("0 failing"));
     }

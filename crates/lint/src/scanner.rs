@@ -6,11 +6,10 @@
 //! 1. *Is this byte inside a comment or a string literal?* ([`strip`]
 //!    blanks both out, preserving byte offsets and line structure, so a
 //!    token search over the stripped text cannot be fooled by
-//!    `// Instant::now()` in a comment or `".lock()"` in a string.)
-//! 2. *Which function does this byte belong to?* ([`ScannedFile::functions`]
-//!    segments items with brace matching and records test-module spans, so
-//!    rules can attribute findings to `Type::method` and skip
-//!    `#[cfg(test)]` code when a rule only governs product code.)
+//!    `// Instant::now()` in a comment or `".unwrap()"` in a string.)
+//! 2. *Is this byte test code?* ([`ScannedFile::test_ranges`] finds the
+//!    brace-matched spans of `#[cfg(test)]` and `#[test]` items, so a rule
+//!    that governs only product code can skip them.)
 //! 3. *Has a human waived this finding?* ([`ScannedFile::waivers`] parses
 //!    `// nimbus-lint: allow(<rule>) — <reason>` comments; an empty reason
 //!    is itself a diagnostic.)
@@ -199,33 +198,6 @@ pub(crate) fn is_ident_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// A function (or method) found in a file: name, optional `impl` type, the
-/// byte range of its body, and whether it lives under `#[cfg(test)]`.
-#[derive(Clone, Debug)]
-pub struct Function {
-    /// The bare function name.
-    pub name: String,
-    /// The enclosing `impl` type, when the function is a method.
-    pub impl_type: Option<String>,
-    /// Byte offset of the `fn` keyword (span anchor).
-    pub start: usize,
-    /// Byte range of the body, *inside* the braces.
-    pub body: std::ops::Range<usize>,
-    /// True when the function sits inside a `#[cfg(test)]` module or
-    /// carries a `#[test]`/`#[cfg(test)]` attribute itself.
-    pub in_test: bool,
-}
-
-impl Function {
-    /// `Type::name` when the impl type is known, else `name`.
-    pub fn qualified(&self) -> String {
-        match &self.impl_type {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
 /// A waiver comment: `// nimbus-lint: allow(<rule>) — <reason>`.
 #[derive(Clone, Debug)]
 pub struct Waiver {
@@ -315,7 +287,7 @@ impl ScannedFile {
         let b = self.stripped.as_bytes();
         let mut ranges = Vec::new();
         let mut i = 0;
-        while let Some(pos) = find_token(&self.stripped, i, "#") {
+        while let Some(pos) = memchr(b, i, b'#') {
             i = pos + 1;
             let rest = &self.stripped[pos..];
             let is_test_attr = rest.starts_with("#[cfg(test)]")
@@ -326,7 +298,7 @@ impl ScannedFile {
             }
             // The attribute gates the next item: find its opening brace and
             // cover the whole braced body.
-            if let Some(open) = find_at_depth(b, pos, b'{') {
+            if let Some(open) = memchr(b, pos, b'{') {
                 if let Some(close) = match_brace(b, open) {
                     ranges.push(pos..close + 1);
                     i = pos + 1; // keep scanning inside for nested attrs
@@ -335,128 +307,6 @@ impl ScannedFile {
         }
         ranges
     }
-
-    /// Segments the file into functions (brace-aware, impl-qualified).
-    pub fn functions(&self) -> Vec<Function> {
-        let src = &self.stripped;
-        let b = src.as_bytes();
-        let tests = self.test_ranges();
-        let impls = impl_ranges(src);
-        let mut out = Vec::new();
-        let mut i = 0;
-        while let Some(pos) = find_keyword(src, i, "fn") {
-            i = pos + 2;
-            // Name.
-            let mut j = pos + 2;
-            while j < b.len() && b[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            let name_start = j;
-            while j < b.len() && is_ident_byte(b[j]) {
-                j += 1;
-            }
-            if j == name_start {
-                continue;
-            }
-            let name = src[name_start..j].to_string();
-            // Opening brace of the body: first `{` at paren depth 0 after
-            // the signature. A `;` first means a trait method declaration.
-            let mut depth = 0i32;
-            let mut k = j;
-            let open = loop {
-                if k >= b.len() {
-                    break None;
-                }
-                match b[k] {
-                    b'(' | b'[' => depth += 1,
-                    b')' | b']' => depth -= 1,
-                    b'{' if depth == 0 => break Some(k),
-                    b';' if depth == 0 => break None,
-                    _ => {}
-                }
-                k += 1;
-            };
-            let Some(open) = open else {
-                continue;
-            };
-            let Some(close) = match_brace(b, open) else {
-                continue;
-            };
-            let in_test = tests.iter().any(|r| r.contains(&pos));
-            let impl_type = impls
-                .iter()
-                .filter(|(r, _)| r.contains(&pos))
-                .min_by_key(|(r, _)| r.len())
-                .map(|(_, t)| t.clone());
-            out.push(Function {
-                name,
-                impl_type,
-                start: pos,
-                body: open + 1..close,
-                in_test,
-            });
-        }
-        out
-    }
-}
-
-/// `(body range, type name)` for every `impl` block in stripped source.
-fn impl_ranges(src: &str) -> Vec<(std::ops::Range<usize>, String)> {
-    let b = src.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while let Some(pos) = find_keyword(src, i, "impl") {
-        i = pos + 4;
-        let Some(open) = find_at_depth(b, pos, b'{') else {
-            continue;
-        };
-        let Some(close) = match_brace(b, open) else {
-            continue;
-        };
-        // The implemented type is the last path segment before the brace
-        // (after `for`, if present), generics stripped.
-        let header = &src[pos + 4..open];
-        let header = match header.rfind(" for ") {
-            Some(p) => &header[p + 5..],
-            None => header,
-        };
-        let name = header
-            .split(|c: char| c == '<' || c == '(' || c.is_whitespace())
-            .find(|s| !s.is_empty() && s.chars().next().is_some_and(|c| c.is_ascii_uppercase()))
-            .unwrap_or("")
-            .to_string();
-        if !name.is_empty() {
-            out.push((open + 1..close, name));
-        }
-    }
-    out
-}
-
-/// Finds `needle` at `from` or later as a standalone keyword (not part of a
-/// longer identifier).
-fn find_keyword(src: &str, from: usize, needle: &str) -> Option<usize> {
-    let b = src.as_bytes();
-    let mut i = from;
-    while let Some(pos) = src[i..].find(needle).map(|p| p + i) {
-        let before_ok = pos == 0 || !is_ident_byte(b[pos - 1]);
-        let after = pos + needle.len();
-        let after_ok = after >= b.len() || !is_ident_byte(b[after]);
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-        i = pos + 1;
-    }
-    None
-}
-
-fn find_token(src: &str, from: usize, needle: &str) -> Option<usize> {
-    src[from..].find(needle).map(|p| p + from)
-}
-
-/// First occurrence of `target` after `from`, skipping nothing (the caller
-/// guarantees no earlier brace opens).
-fn find_at_depth(b: &[u8], from: usize, target: u8) -> Option<usize> {
-    (from..b.len()).find(|&i| b[i] == target)
 }
 
 /// Given the offset of an opening `{`, returns the offset of its matching
@@ -534,28 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn functions_are_segmented_with_nested_braces() {
-        let src = "impl Foo { fn alpha(&self) { if x { y(); } } }\nfn beta() -> u8 { let v = vec![1]; v[0] }";
-        let f = scan(src);
-        let fns = f.functions();
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].qualified(), "Foo::alpha");
-        assert_eq!(fns[1].qualified(), "beta");
-        assert!(f.raw[fns[0].body.clone()].contains("if x { y(); }"));
-        assert!(f.raw[fns[1].body.clone()].contains("v[0]"));
-    }
-
-    #[test]
     fn test_modules_are_detected() {
         let src =
             "fn prod() {}\n#[cfg(test)]\nmod tests {\n fn helper() {}\n #[test]\n fn case() {}\n}";
         let f = scan(src);
-        let fns = f.functions();
-        let by_name: std::collections::HashMap<_, _> =
-            fns.iter().map(|f| (f.name.clone(), f.in_test)).collect();
-        assert!(!by_name["prod"]);
-        assert!(by_name["helper"]);
-        assert!(by_name["case"]);
+        let ranges = f.test_ranges();
+        let in_test = |needle: &str| {
+            let pos = src.find(needle).expect("needle in source");
+            ranges.iter().any(|r| r.contains(&pos))
+        };
+        assert!(!in_test("prod"));
+        assert!(in_test("helper"));
+        assert!(in_test("case"));
     }
 
     #[test]

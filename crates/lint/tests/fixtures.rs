@@ -8,7 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use nimbus_lint::scanner::ScannedFile;
-use nimbus_lint::{apply_waivers, clock, locks, panic_free};
+use nimbus_lint::{apply_waivers, clock, panic_free};
 use nimbus_lint::{Diagnostic, Rule};
 
 /// Loads a fixture file, re-anchored under `rel` so path-keyed policies
@@ -80,20 +80,6 @@ fn panic_fixture_is_silent_outside_panic_free_modules() {
     let mut diags = Vec::new();
     panic_free::check(&f, &r, &mut diags);
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn lock_order_fixture_reports_the_ab_ba_cycle() {
-    let rel = "crates/x/src/state.rs";
-    let (f, r) = fixture("bad_lock_order.rs", rel);
-    let mut diags = Vec::new();
-    let sites = locks::check(&[f], &[r], &mut diags);
-    assert_eq!(sites, 4, "two locks acquired in each of two functions");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, Rule::LockOrder);
-    assert_eq!((diags[0].file.as_str(), diags[0].line), (rel, 12));
-    assert!(diags[0].message.contains("lock-order cycle"));
-    assert!(diags[0].message.contains("x/a") && diags[0].message.contains("x/b"));
 }
 
 #[test]

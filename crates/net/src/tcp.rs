@@ -33,13 +33,18 @@
 //! delivers traffic again — which is what lets the controller drive the
 //! rejoin handshake for restarted workers without replanning the job.
 //!
+//! Everything the endpoint knows about one peer is one record in one table
+//! — its outbound link, its live inbound streams, whether it was lost — and
+//! each change to a record, with the notice it implies, is one critical
+//! section, so the inbox sees notices in the order the record changed.
+//!
 //! The accept loop blocks in `accept(2)` (woken by a self-connect at
 //! shutdown) and readers block in `read(2)` (unblocked by `shutdown(2)` on
 //! their streams at drop), so an idle cluster burns no CPU polling and a
 //! message is delivered as soon as the kernel has it, not on the next tick
 //! of a poll interval.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -100,6 +105,13 @@ struct PeerBackoff {
     delay: Duration,
 }
 
+/// Every node's address, plus the listeners bound for nodes whose endpoints
+/// have not been created yet.
+struct AddrBook {
+    addrs: HashMap<NodeId, SocketAddr>,
+    prebound: HashMap<NodeId, TcpListener>,
+}
+
 /// The address book of a TCP cluster plus any pre-bound listeners.
 ///
 /// Two construction modes:
@@ -114,8 +126,7 @@ struct PeerBackoff {
 /// nodes added later through [`TcpFabric::add_loopback_node`] (elastic worker
 /// membership) become dialable by already-running endpoints.
 pub struct TcpFabric {
-    addrs: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
-    prebound: Mutex<HashMap<NodeId, TcpListener>>,
+    book: Arc<RwLock<AddrBook>>,
     stats: Arc<SharedNetworkStats>,
     dial_policy: DialPolicy,
 }
@@ -123,26 +134,20 @@ pub struct TcpFabric {
 impl TcpFabric {
     /// Binds one loopback listener per node and records the assigned ports.
     pub fn bind_loopback(nodes: &[NodeId]) -> NetResult<Self> {
-        let mut addrs = HashMap::new();
-        let mut prebound = HashMap::new();
+        let fabric = Self::from_addrs(HashMap::new());
         for node in nodes {
-            let listener = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
-            addrs.insert(*node, listener.local_addr().map_err(io_err)?);
-            prebound.insert(*node, listener);
+            fabric.add_loopback_node(*node)?;
         }
-        Ok(Self {
-            addrs: Arc::new(RwLock::new(addrs)),
-            prebound: Mutex::new(prebound),
-            stats: Arc::new(SharedNetworkStats::new()),
-            dial_policy: DialPolicy::default(),
-        })
+        Ok(fabric)
     }
 
     /// Builds a fabric from an externally chosen address map.
     pub fn from_addrs(addrs: HashMap<NodeId, SocketAddr>) -> Self {
         Self {
-            addrs: Arc::new(RwLock::new(addrs)),
-            prebound: Mutex::new(HashMap::new()),
+            book: Arc::new(RwLock::new(AddrBook {
+                addrs,
+                prebound: HashMap::new(),
+            })),
             stats: Arc::new(SharedNetworkStats::new()),
             dial_policy: DialPolicy::default(),
         }
@@ -157,7 +162,7 @@ impl TcpFabric {
 
     /// The address of a node, if it is part of the fabric.
     pub fn addr(&self, node: NodeId) -> Option<SocketAddr> {
-        self.addrs.read().get(&node).copied()
+        self.book.read().addrs.get(&node).copied()
     }
 
     /// Adds a node to a running fabric, binding a fresh loopback listener
@@ -166,8 +171,9 @@ impl TcpFabric {
     pub fn add_loopback_node(&self, node: NodeId) -> NetResult<SocketAddr> {
         let listener = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
         let addr = listener.local_addr().map_err(io_err)?;
-        self.addrs.write().insert(node, addr);
-        self.prebound.lock().insert(node, listener);
+        let mut book = self.book.write();
+        book.addrs.insert(node, addr);
+        book.prebound.insert(node, listener);
         Ok(addr)
     }
 
@@ -176,21 +182,19 @@ impl TcpFabric {
     /// endpoint of a node whose previous endpoint was dropped re-binds the
     /// same address — this is how a rejoining worker reclaims its identity.
     pub fn endpoint(&self, node: NodeId) -> NetResult<TcpEndpoint> {
-        let listener = match self.prebound.lock().remove(&node) {
+        let prebound = self.book.write().prebound.remove(&node);
+        let listener = match prebound {
             Some(l) => l,
             None => {
                 let addr = self
-                    .addrs
-                    .read()
-                    .get(&node)
-                    .copied()
+                    .addr(node)
                     .ok_or_else(|| NetError::UnknownNode(node.to_string()))?;
                 TcpListener::bind(addr).map_err(io_err)?
             }
         };
         TcpEndpoint::start(
             node,
-            Arc::clone(&self.addrs),
+            Arc::clone(&self.book),
             listener,
             Arc::clone(&self.stats),
             self.dial_policy,
@@ -209,30 +213,115 @@ fn io_err(e: std::io::Error) -> NetError {
     NetError::Io(e.to_string())
 }
 
+/// Everything an endpoint knows about one peer. Each change to it is one
+/// critical section of the peer table, and the notice the change implies
+/// is queued inside that section.
+#[derive(Default)]
+struct Peer {
+    link: Link,
+    /// Live inbound streams that identified as this peer.
+    inbound: usize,
+    /// The peer delivered traffic and then lost every inbound stream; the
+    /// next stream that identifies as it announces `PeerReconnected`.
+    lost: bool,
+}
+
+/// The outbound half of a peer link: one value, so a cached writer and a
+/// pending backoff cannot coexist.
+#[derive(Default)]
+enum Link {
+    /// Nothing dialed: the next send dials with the startup retry window.
+    #[default]
+    Idle,
+    /// An established stream with its corked encode buffer (cleared and
+    /// reused per flush, so steady-state sends allocate nothing).
+    Up(Arc<Mutex<PeerWriter>>),
+    /// The stream died or a dial gave up: sends fail fast until the backoff
+    /// allows a redial.
+    Down(PeerBackoff),
+}
+
+/// The reader threads, plus a clone of every live reader's stream keyed by
+/// reader id, so drop can `shutdown(2)` them to unblock the blocking reads.
+#[derive(Default)]
+struct Readers {
+    threads: Vec<JoinHandle<()>>,
+    streams: HashMap<u64, TcpStream>,
+}
+
 struct Shared {
     node: NodeId,
-    addrs: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
+    book: Arc<RwLock<AddrBook>>,
     dial_policy: DialPolicy,
-    /// Write halves, one dialed stream per peer, each with its own corked
-    /// encode buffer (cleared and reused per flush, so steady-state sends
-    /// allocate nothing).
-    writers: Mutex<HashMap<NodeId, Arc<Mutex<PeerWriter>>>>,
-    /// Peers whose stream died or whose dial gave up, with redial backoff.
-    downed: Mutex<HashMap<NodeId, PeerBackoff>>,
-    /// Live inbound stream count per identified peer.
-    inbound: Mutex<HashMap<NodeId, usize>>,
-    /// Peers that delivered traffic and then lost every inbound stream; the
-    /// next stream that identifies as one of these triggers
-    /// `PeerReconnected`.
-    lost_inbound: Mutex<HashSet<NodeId>>,
+    peers: Mutex<HashMap<NodeId, Peer>>,
     inbox_tx: Sender<Envelope>,
     stats: Arc<SharedNetworkStats>,
     shutdown: AtomicBool,
-    reader_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Clones of every live reader's stream, keyed by reader id, so drop can
-    /// `shutdown(2)` them and unblock the blocking reads.
-    reader_streams: Mutex<HashMap<u64, TcpStream>>,
+    readers: Mutex<Readers>,
     next_reader_id: AtomicU64,
+}
+
+impl Shared {
+    /// Queues a connectivity notice about `peer`; `false` if the endpoint
+    /// is gone.
+    fn notify(&self, peer: NodeId, event: TransportEvent) -> bool {
+        self.inbox_tx
+            .send(Envelope {
+                from: peer,
+                to: self.node,
+                message: Message::Transport(event),
+            })
+            .is_ok()
+    }
+
+    /// A backoff that allows a redial at once (the peer may already be back).
+    fn immediate_redial(&self) -> Link {
+        Link::Down(PeerBackoff {
+            next_attempt: Instant::now(),
+            delay: self.dial_policy.initial_backoff,
+        })
+    }
+
+    /// A stream's first envelope identified it as `from`'s: count it, and
+    /// announce the peer's return if it was lost. Returns `false` if the
+    /// endpoint is gone.
+    fn stream_opened(&self, from: NodeId) -> bool {
+        let mut peers = self.peers.lock();
+        let peer = peers.entry(from).or_default();
+        peer.inbound += 1;
+        // A fresh inbound stream is live proof the peer is up: clear any
+        // redial backoff immediately. Without this, dial failures during
+        // the peer's dead window keep doubling the backoff, and a send
+        // right after the peer returns (e.g. the rejoin handshake's
+        // template reinstalls) would still fail fast inside the stale
+        // window — silently, since handshake sends are best-effort.
+        if matches!(peer.link, Link::Down(_)) {
+            peer.link = Link::Idle;
+        }
+        if std::mem::take(&mut peer.lost) {
+            return self.notify(from, TransportEvent::PeerReconnected(from));
+        }
+        true
+    }
+
+    /// A stream identified as `from`'s ended. If it was the peer's last,
+    /// the peer is lost.
+    fn stream_closed(&self, from: NodeId) {
+        let mut peers = self.peers.lock();
+        let peer = peers.entry(from).or_default();
+        peer.inbound = peer.inbound.saturating_sub(1);
+        if peer.inbound > 0 {
+            return;
+        }
+        peer.lost = true;
+        // Connections come in pairs (one per direction): losing the peer's
+        // inbound stream means our outbound stream to it is a stale
+        // half-open socket whose next writes would be silently buffered and
+        // lost. Tear it down now so the next send redials the peer's
+        // (possibly restarted) process instead.
+        peer.link = self.immediate_redial();
+        self.notify(from, TransportEvent::PeerDisconnected(from));
+    }
 }
 
 /// One node's connection to a TCP fabric. See the module docs for the
@@ -248,7 +337,7 @@ pub struct TcpEndpoint {
 impl TcpEndpoint {
     fn start(
         node: NodeId,
-        addrs: Arc<RwLock<HashMap<NodeId, SocketAddr>>>,
+        book: Arc<RwLock<AddrBook>>,
         listener: TcpListener,
         stats: Arc<SharedNetworkStats>,
         dial_policy: DialPolicy,
@@ -257,17 +346,13 @@ impl TcpEndpoint {
         let (inbox_tx, inbox) = unbounded();
         let shared = Arc::new(Shared {
             node,
-            addrs,
+            book,
             dial_policy,
-            writers: Mutex::new(HashMap::new()),
-            downed: Mutex::new(HashMap::new()),
-            inbound: Mutex::new(HashMap::new()),
-            lost_inbound: Mutex::new(HashSet::new()),
+            peers: Mutex::default(),
             inbox_tx,
             stats,
             shutdown: AtomicBool::new(false),
-            reader_threads: Mutex::new(Vec::new()),
-            reader_streams: Mutex::new(HashMap::new()),
+            readers: Mutex::default(),
             next_reader_id: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
@@ -294,13 +379,19 @@ impl TcpEndpoint {
     }
 
     fn writer_for(&self, to: NodeId) -> NetResult<Arc<Mutex<PeerWriter>>> {
-        if let Some(w) = self.shared.writers.lock().get(&to) {
-            return Ok(Arc::clone(w));
-        }
+        let redial_at = {
+            let peers = self.shared.peers.lock();
+            match peers.get(&to).map(|p| &p.link) {
+                Some(Link::Up(writer)) => return Ok(Arc::clone(writer)),
+                Some(Link::Down(backoff)) => Some(backoff.next_attempt),
+                Some(Link::Idle) | None => None,
+            }
+        };
         let addr = self
             .shared
-            .addrs
+            .book
             .read()
+            .addrs
             .get(&to)
             .copied()
             .ok_or_else(|| NetError::UnknownNode(to.to_string()))?;
@@ -308,90 +399,122 @@ impl TcpEndpoint {
         // A peer that failed before redials under backoff: within the backoff
         // window sends fail fast (halts and shutdown broadcasts to a dead
         // peer must not block the caller); past it, one quick attempt.
-        let redial = {
-            let downed = self.shared.downed.lock();
-            match downed.get(&to) {
-                Some(b) if Instant::now() < b.next_attempt => {
-                    return Err(NetError::Disconnected(to.to_string()));
-                }
-                Some(_) => true,
-                None => false,
+        let dialed = match redial_at {
+            Some(at) if Instant::now() < at => {
+                return Err(NetError::Disconnected(to.to_string()));
             }
-        };
-        let stream = if redial {
-            match TcpStream::connect_timeout(&addr, policy.connect_timeout) {
-                Ok(s) => s,
-                Err(e) => {
-                    let mut downed = self.shared.downed.lock();
-                    let entry = downed.entry(to).or_insert(PeerBackoff {
-                        next_attempt: Instant::now(),
-                        delay: policy.initial_backoff,
-                    });
-                    entry.delay = (entry.delay * 2).min(policy.max_backoff);
-                    entry.next_attempt = Instant::now() + entry.delay;
-                    return Err(io_err(e));
-                }
-            }
-        } else {
-            // First dial: wait out the startup window so the cluster's
-            // processes can come up in any order.
-            let deadline = Instant::now() + policy.retry_window;
-            loop {
-                match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
-                    Ok(s) => break s,
-                    Err(e) => {
-                        if self.shared.shutdown.load(Ordering::Relaxed)
-                            || Instant::now() >= deadline
+            Some(_) => TcpStream::connect_timeout(&addr, policy.connect_timeout),
+            None => {
+                // First dial: wait out the startup window so the cluster's
+                // processes can come up in any order.
+                let deadline = Instant::now() + policy.retry_window;
+                loop {
+                    match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+                        Err(e)
+                            if self.shared.shutdown.load(Ordering::Relaxed)
+                                || Instant::now() >= deadline =>
                         {
-                            // Mark down (retriable) rather than dead forever:
-                            // later sends fail fast until the backoff allows
-                            // another attempt.
-                            self.shared.downed.lock().insert(
-                                to,
-                                PeerBackoff {
-                                    next_attempt: Instant::now() + policy.initial_backoff,
-                                    delay: policy.initial_backoff,
-                                },
-                            );
-                            return Err(io_err(e));
+                            break Err(e)
                         }
-                        std::thread::sleep(DIAL_PAUSE);
+                        Err(_) => std::thread::sleep(DIAL_PAUSE),
+                        done => break done,
                     }
                 }
             }
         };
+        let stream = match dialed {
+            Ok(stream) => stream,
+            Err(e) => {
+                self.dial_failed(to, redial_at.is_some());
+                return Err(io_err(e));
+            }
+        };
         stream.set_nodelay(true).ok();
-        self.shared.downed.lock().remove(&to);
+        let mut peers = self.shared.peers.lock();
+        let peer = peers.entry(to).or_default();
+        // A concurrent send may have dialed the same peer; keep the first.
+        if let Link::Up(writer) = &peer.link {
+            return Ok(Arc::clone(writer));
+        }
         let writer = Arc::new(Mutex::new(PeerWriter {
             stream,
             buf: Vec::new(),
         }));
-        // A concurrent send may have dialed the same peer; keep the first.
-        let mut writers = self.shared.writers.lock();
-        Ok(Arc::clone(
-            writers.entry(to).or_insert_with(|| Arc::clone(&writer)),
-        ))
+        peer.link = Link::Up(Arc::clone(&writer));
+        Ok(writer)
     }
 
-    /// True when we currently hold at least one live inbound stream from
-    /// `peer` — proof the peer's process is up regardless of what the
-    /// outbound backoff or a cached writer's fate says.
-    fn peer_observably_up(&self, peer: NodeId) -> bool {
-        self.shared.inbound.lock().get(&peer).copied().unwrap_or(0) > 0
+    /// One buffer, one write: `encode` appends a frame (header and payload)
+    /// straight into the peer's reusable buffer — no per-message allocation
+    /// — and it is flushed with a single `write(2)`; with TCP_NODELAY a
+    /// separate header write would flush as its own segment, doubling the
+    /// per-message cost.
+    ///
+    /// A failed write marks the stream dead (supervision) — and, when we are
+    /// actively *receiving* from the peer, retries exactly once over a fresh
+    /// dial: a restarting peer can leave a stale cached writer (a dial that
+    /// landed in its dying endpoint's accept window) whose first write fails
+    /// just as the peer is provably back up, and a fire-and-forget caller
+    /// (the rejoin handshake's template reinstalls) would otherwise lose the
+    /// message silently.
+    fn flush_frame(
+        &self,
+        to: NodeId,
+        encode: impl Fn(&mut Vec<u8>) -> NetResult<()>,
+    ) -> NetResult<()> {
+        for attempt in 0..2 {
+            let writer = self.writer_for(to)?;
+            let written = {
+                let mut guard = writer.lock();
+                let w = &mut *guard;
+                w.buf.clear();
+                encode(&mut w.buf)?;
+                let r = w.stream.write_all(&w.buf);
+                w.shrink();
+                r
+            };
+            if written.is_ok() {
+                self.shared.stats.record_tcp_write();
+                return Ok(());
+            }
+            let observably_up = self.note_write_failure(to);
+            if attempt > 0 || !observably_up {
+                break;
+            }
+        }
+        Err(NetError::Disconnected(to.to_string()))
+    }
+
+    /// A dial to `to` failed: mark the peer down (retriable, not dead
+    /// forever) so later sends fail fast until the backoff allows another
+    /// attempt — a failed redial doubles the backoff, a failed first dial
+    /// starts it. A stream a concurrent send established meanwhile stays.
+    fn dial_failed(&self, to: NodeId, redial: bool) {
+        let policy = self.shared.dial_policy;
+        let mut peers = self.shared.peers.lock();
+        let peer = peers.entry(to).or_default();
+        let delay = match &peer.link {
+            Link::Up(_) => return,
+            Link::Down(backoff) if redial => (backoff.delay * 2).min(policy.max_backoff),
+            Link::Idle if redial => (policy.initial_backoff * 2).min(policy.max_backoff),
+            _ => policy.initial_backoff,
+        };
+        peer.link = Link::Down(PeerBackoff {
+            next_attempt: Instant::now() + delay,
+            delay,
+        });
     }
 
     /// Marks the established stream to `to` dead and arms an immediate
-    /// redial (the peer may already be back).
-    fn note_write_failure(&self, to: NodeId) {
-        self.shared.writers.lock().remove(&to);
-        let policy = self.shared.dial_policy;
-        self.shared.downed.lock().insert(
-            to,
-            PeerBackoff {
-                next_attempt: Instant::now(),
-                delay: policy.initial_backoff,
-            },
-        );
+    /// redial (the peer may already be back). Returns whether we hold a
+    /// live inbound stream from `to` — proof the peer's process is up
+    /// whatever the dead writer says.
+    fn note_write_failure(&self, to: NodeId) -> bool {
+        let link = self.shared.immediate_redial();
+        let mut peers = self.shared.peers.lock();
+        let peer = peers.entry(to).or_default();
+        peer.link = link;
+        peer.inbound > 0
     }
 }
 
@@ -430,9 +553,6 @@ impl TransportEndpoint for TcpEndpoint {
         // retries against a dead peer must not inflate the counters the
         // cross-transport comparisons rely on.
         let (tag, wire_size, is_data) = (message.tag(), message.wire_size(), message.is_data());
-        let record = |shared: &Shared| {
-            shared.stats.record(tag, wire_size, is_data);
-        };
         let envelope = Envelope {
             from: self.shared.node,
             to,
@@ -443,52 +563,11 @@ impl TransportEndpoint for TcpEndpoint {
                 .inbox_tx
                 .send(envelope)
                 .map_err(|_| NetError::Disconnected(to.to_string()))?;
-            record(&self.shared);
-            return Ok(());
+        } else {
+            self.flush_frame(to, |buf| framing::append_frame(buf, &envelope).map(drop))?;
         }
-        // One buffer, one write: the frame (header and payload) is encoded
-        // straight into the peer's reusable buffer — no per-message
-        // allocation — and flushed with a single `write(2)`; with
-        // TCP_NODELAY a separate header write would flush as its own
-        // segment, doubling the per-message cost.
-        //
-        // A failed write marks the stream dead (supervision) — and, when we
-        // are actively *receiving* from the peer, retries exactly once over
-        // a fresh dial: a restarting peer can leave a stale cached writer
-        // (a dial that landed in its dying endpoint's accept window) whose
-        // first write fails just as the peer is provably back up, and a
-        // fire-and-forget caller (the rejoin handshake's template
-        // reinstalls) would otherwise lose the message silently.
-        for attempt in 0..2 {
-            let writer = self.writer_for(to)?;
-            let result = {
-                let mut guard = writer.lock();
-                let w = &mut *guard;
-                w.buf.clear();
-                framing::append_frame(&mut w.buf, &envelope)?;
-                let r = w.stream.write_all(&w.buf);
-                if r.is_ok() {
-                    self.shared.stats.record_tcp_write();
-                }
-                w.shrink();
-                r
-            };
-            match result {
-                Ok(()) => {
-                    record(&self.shared);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Drop the writer and allow an immediate redial.
-                    self.note_write_failure(to);
-                    if attempt == 0 && self.peer_observably_up(to) {
-                        continue;
-                    }
-                    return Err(NetError::Disconnected(to.to_string()));
-                }
-            }
-        }
-        unreachable!("send retry loop returns on every path")
+        self.shared.stats.record(tag, wire_size, is_data);
+        Ok(())
     }
 
     /// The corked write path: every message is encoded into the peer's
@@ -533,47 +612,16 @@ impl TransportEndpoint for TcpEndpoint {
                     .send(envelope)
                     .map_err(|_| NetError::Disconnected(to.to_string()))?;
             }
-            for (tag, size, is_data) in metas {
-                self.shared.stats.record(tag, size, is_data);
-            }
-            self.shared.stats.record_batch(n);
-            return Ok(());
+        } else {
+            // All-or-nothing, so a retried write re-sends nothing that was
+            // delivered.
+            self.flush_frame(to, |buf| framing::append_batch_frame(buf, &envelopes))?;
         }
-        // Same single-retry-when-observably-up policy as `send` (see there):
-        // the whole batch is all-or-nothing, so retrying the failed write
-        // re-sends nothing that was delivered.
-        for attempt in 0..2 {
-            let writer = self.writer_for(to)?;
-            let result = {
-                let mut guard = writer.lock();
-                let w = &mut *guard;
-                w.buf.clear();
-                framing::append_batch_frame(&mut w.buf, &envelopes)?;
-                let r = w.stream.write_all(&w.buf);
-                if r.is_ok() {
-                    self.shared.stats.record_tcp_write();
-                }
-                w.shrink();
-                r
-            };
-            match result {
-                Ok(()) => {
-                    for (tag, size, is_data) in metas {
-                        self.shared.stats.record(tag, size, is_data);
-                    }
-                    self.shared.stats.record_batch(n);
-                    return Ok(());
-                }
-                Err(_) => {
-                    self.note_write_failure(to);
-                    if attempt == 0 && self.peer_observably_up(to) {
-                        continue;
-                    }
-                    return Err(NetError::Disconnected(to.to_string()));
-                }
-            }
+        for (tag, size, is_data) in metas {
+            self.shared.stats.record(tag, size, is_data);
         }
-        unreachable!("send_many retry loop returns on every path")
+        self.shared.stats.record_batch(n);
+        Ok(())
     }
 
     fn recv(&self) -> NetResult<Envelope> {
@@ -597,14 +645,11 @@ impl TransportEndpoint for TcpEndpoint {
     }
 
     fn reset_worker_peers(&self) {
-        self.shared
-            .writers
-            .lock()
-            .retain(|node, _| !matches!(node, NodeId::Worker(_)));
-        self.shared
-            .downed
-            .lock()
-            .retain(|node, _| !matches!(node, NodeId::Worker(_)));
+        for (node, peer) in self.shared.peers.lock().iter_mut() {
+            if matches!(node, NodeId::Worker(_)) {
+                peer.link = Link::Idle;
+            }
+        }
     }
 }
 
@@ -612,10 +657,12 @@ impl Drop for TcpEndpoint {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         // Closing write halves lets peers' readers observe EOF promptly.
-        self.shared.writers.lock().clear();
+        for peer in self.shared.peers.lock().values_mut() {
+            peer.link = Link::Idle;
+        }
         // Unblock our own readers: shut their streams down so the blocking
         // reads return immediately.
-        for stream in self.shared.reader_streams.lock().values() {
+        for stream in self.shared.readers.lock().streams.values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Wake the blocking accept with a throwaway self-connection.
@@ -623,7 +670,7 @@ impl Drop for TcpEndpoint {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        let readers = std::mem::take(&mut *self.shared.reader_threads.lock());
+        let readers = std::mem::take(&mut self.shared.readers.lock().threads);
         for handle in readers {
             let _ = handle.join();
         }
@@ -641,7 +688,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let reader_id = shared.next_reader_id.fetch_add(1, Ordering::Relaxed);
                 match stream.try_clone() {
                     Ok(clone) => {
-                        shared.reader_streams.lock().insert(reader_id, clone);
+                        shared.readers.lock().streams.insert(reader_id, clone);
                     }
                     Err(_) => {
                         // Without a clone drop cannot unblock this reader;
@@ -657,12 +704,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .name(format!("nimbus-tcp-read-{}", shared.node))
                     .spawn(move || reader_loop(stream, reader_id, reader_shared));
                 if let Ok(handle) = spawned {
-                    let mut threads = shared.reader_threads.lock();
+                    let mut readers = shared.readers.lock();
                     // Reap finished readers so short-lived connections (a
                     // malformed peer, a port probe) don't accumulate
                     // join handles for the life of the endpoint.
-                    threads.retain(|t| !t.is_finished());
-                    threads.push(handle);
+                    readers.threads.retain(|t| !t.is_finished());
+                    readers.threads.push(handle);
                 }
             }
             // Transient failures (ECONNABORTED: peer reset before accept;
@@ -693,25 +740,9 @@ fn deliver_envelope(envelope: Envelope, peer: &mut Option<NodeId>, shared: &Shar
         return false;
     }
     if peer.is_none() {
-        let from = envelope.from;
-        *peer = Some(from);
-        *shared.inbound.lock().entry(from).or_insert(0) += 1;
-        // A fresh inbound stream is live proof the peer is up: clear any
-        // redial backoff immediately. Without this, dial failures during
-        // the peer's dead window keep doubling the backoff, and a send
-        // right after the peer returns (e.g. the rejoin handshake's
-        // template reinstalls) would still fail fast inside the stale
-        // window — silently, since handshake sends are best-effort.
-        shared.downed.lock().remove(&from);
-        if shared.lost_inbound.lock().remove(&from) {
-            let notice = Envelope {
-                from,
-                to: shared.node,
-                message: Message::Transport(TransportEvent::PeerReconnected(from)),
-            };
-            if shared.inbox_tx.send(notice).is_err() {
-                return false; // Endpoint dropped.
-            }
+        *peer = Some(envelope.from);
+        if !shared.stream_opened(envelope.from) {
+            return false; // Endpoint dropped.
         }
     }
     shared.inbox_tx.send(envelope).is_ok()
@@ -750,42 +781,12 @@ fn reader_loop(mut stream: TcpStream, reader_id: u64, shared: Arc<Shared>) {
             Err(_) => break,   // EOF or transport error.
         }
     }
-    shared.reader_streams.lock().remove(&reader_id);
+    shared.readers.lock().streams.remove(&reader_id);
     if shared.shutdown.load(Ordering::Relaxed) {
         return;
     }
     if let Some(peer) = peer {
-        let last_stream = {
-            let mut inbound = shared.inbound.lock();
-            match inbound.get_mut(&peer) {
-                Some(count) => {
-                    *count = count.saturating_sub(1);
-                    *count == 0
-                }
-                None => true,
-            }
-        };
-        if last_stream {
-            shared.lost_inbound.lock().insert(peer);
-            // Connections come in pairs (one per direction): losing the
-            // peer's inbound stream means our outbound stream to it is a
-            // stale half-open socket whose next writes would be silently
-            // buffered and lost. Tear it down now so the next send redials
-            // the peer's (possibly restarted) process instead.
-            shared.writers.lock().remove(&peer);
-            shared.downed.lock().insert(
-                peer,
-                PeerBackoff {
-                    next_attempt: Instant::now(),
-                    delay: shared.dial_policy.initial_backoff,
-                },
-            );
-            let _ = shared.inbox_tx.send(Envelope {
-                from: peer,
-                to: shared.node,
-                message: Message::Transport(TransportEvent::PeerDisconnected(peer)),
-            });
-        }
+        shared.stream_closed(peer);
     }
 }
 
@@ -1281,6 +1282,75 @@ mod tests {
         let stats = driver.stats();
         assert_eq!(stats.batched_commands, 0, "singletons are not batches");
         assert_eq!(stats.frames_coalesced, 0);
+    }
+
+    /// The overlapping-restart race: a restarted peer's first stream and the
+    /// end of its old incarnation's last stream are each one transition of
+    /// the peer record. In either order — in turn, or racing on two threads
+    /// — the inbox gets both notices in order, or neither (the streams
+    /// overlapped, so the peer was never lost), and the link ends as one
+    /// value: never a cached writer beside a backoff.
+    #[test]
+    fn restart_transitions_yield_both_notices_in_order_or_neither() {
+        let (_fabric, _driver, controller) = loopback_pair();
+        let shared = &controller.shared;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        for round in 0..200 {
+            let w = NodeId::Worker(WorkerId(round));
+            // The old incarnation: one live inbound stream (and, in the
+            // two ordered rounds, a cached writer).
+            assert!(shared.stream_opened(w));
+            if round < 2 {
+                let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                let writer = Arc::new(Mutex::new(PeerWriter {
+                    stream,
+                    buf: Vec::new(),
+                }));
+                shared.peers.lock().get_mut(&w).unwrap().link = Link::Up(writer);
+            }
+            match round {
+                0 => {
+                    shared.stream_closed(w);
+                    assert!(shared.stream_opened(w));
+                }
+                1 => {
+                    assert!(shared.stream_opened(w));
+                    shared.stream_closed(w);
+                }
+                _ => {
+                    let barrier = std::sync::Barrier::new(2);
+                    std::thread::scope(|s| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            shared.stream_closed(w);
+                        });
+                        barrier.wait();
+                        assert!(shared.stream_opened(w));
+                    });
+                }
+            }
+            let got: Vec<Message> = std::iter::from_fn(|| controller.try_recv().ok())
+                .map(|env| env.message)
+                .collect();
+            let peers = shared.peers.lock();
+            let peer = &peers[&w];
+            assert_eq!((peer.inbound, peer.lost), (1, false), "round {round}");
+            if got.is_empty() {
+                assert!(round != 0, "the last stream was lost first");
+                assert!(!matches!(peer.link, Link::Down(_)));
+            } else {
+                assert!(round != 1, "the streams overlapped");
+                let both = [
+                    TransportEvent::PeerDisconnected(w),
+                    TransportEvent::PeerReconnected(w),
+                ];
+                assert_eq!(got, both.map(Message::Transport), "round {round}");
+                assert!(
+                    matches!(peer.link, Link::Idle),
+                    "stale writer and backoff gone"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! The [`TransportEndpoint`] trait abstracts one node's connection to *some*
 //! fabric; [`Endpoint`] (this module) and [`crate::tcp::TcpEndpoint`] are the
-//! two implementations. Nodes take any implementation (workers and drivers
-//! as a type parameter, the controller behind a box), so the same
-//! control-plane code runs in-process and across machines.
+//! two implementations. Every node (controller, worker, driver) takes any
+//! implementation behind a box, so the same control-plane code runs
+//! in-process and across machines.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -214,6 +214,8 @@ impl Ord for Delayed {
 #[derive(Default)]
 struct DelayState {
     heap: BinaryHeap<Delayed>,
+    /// Send order, the tie-break between equal due dates.
+    seq: u64,
     // Shutdown lives under the same mutex the condvar waits on: checking it
     // in a separate lock would allow the wake-up notification to slip in
     // between the check and the wait, leaving drop blocked until the next
@@ -232,8 +234,9 @@ struct NetworkInner {
     stats: SharedNetworkStats,
     latency: LatencyModel,
     delay_queue: Arc<DelayQueue>,
-    delayer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    seq: Mutex<u64>,
+    /// The thread draining `delay_queue` under a real-time latency model;
+    /// joined on drop.
+    delayer: Option<std::thread::JoinHandle<()>>,
     /// Virtual-time latency: delayed deliveries drain synchronously in
     /// `(due, seq)` order instead of waiting out wall-clock time on the
     /// delayer thread. Ordering across senders is identical to the real
@@ -271,21 +274,19 @@ impl Network {
     }
 
     fn build(latency: LatencyModel, virtual_time: bool) -> Self {
+        let delay_queue = Arc::new(DelayQueue::default());
+        let delayer = (latency.delay().is_some() && !virtual_time)
+            .then(|| start_delayer(Arc::clone(&delay_queue)));
         let inner = Arc::new(NetworkInner {
             senders: RwLock::new(HashMap::new()),
             stats: SharedNetworkStats::new(),
             latency,
-            delay_queue: Arc::new(DelayQueue::default()),
-            delayer: Mutex::new(None),
-            seq: Mutex::new(0),
+            delay_queue,
+            delayer,
             virtual_time,
             hook: OnceLock::new(),
         });
-        let net = Self { inner };
-        if latency.delay().is_some() && !virtual_time {
-            net.start_delayer();
-        }
-        net
+        Self { inner }
     }
 
     /// Installs a [`DeliveryHook`] that takes ownership of all delivery
@@ -323,39 +324,6 @@ impl Network {
         let mut ns: Vec<NodeId> = self.inner.senders.read().keys().copied().collect();
         ns.sort_unstable();
         ns
-    }
-
-    fn start_delayer(&self) {
-        let queue = Arc::clone(&self.inner.delay_queue);
-        let handle = std::thread::Builder::new()
-            .name("nimbus-net-delayer".to_string())
-            .spawn(move || loop {
-                let mut state = queue.state.lock();
-                if state.shutdown {
-                    return;
-                }
-                // Virtual-time networks drain the queue inline, so the delayer
-                // thread only ever runs against real wall time.
-                // nimbus-lint: allow(clock) — delayer thread is real-time only
-                let now = Instant::now();
-                match state.heap.peek() {
-                    Some(d) if d.due <= now => {
-                        let d = state.heap.pop().expect("peeked entry exists");
-                        drop(state);
-                        // A dropped receiver just means the node left; ignore.
-                        let _ = d.to.send(d.envelope);
-                    }
-                    Some(d) => {
-                        let wait = d.due - now;
-                        queue.cv.wait_for(&mut state, wait);
-                    }
-                    None => {
-                        queue.cv.wait(&mut state);
-                    }
-                }
-            })
-            .expect("spawn delayer thread");
-        *self.inner.delayer.lock() = Some(handle);
     }
 
     /// Registers a node and returns its endpoint. Re-registering a node
@@ -435,12 +403,9 @@ impl Network {
                 .send(envelope)
                 .map_err(|_| NetError::Disconnected(to.to_string())),
             Some(delay) => {
-                let seq = {
-                    let mut s = self.inner.seq.lock();
-                    *s += 1;
-                    *s
-                };
                 let mut state = self.inner.delay_queue.state.lock();
+                state.seq += 1;
+                let seq = state.seq;
                 state.heap.push(Delayed {
                     // Under virtual time the heap is drained immediately below.
                     // nimbus-lint: allow(clock) — real-time delivery due date
@@ -489,11 +454,44 @@ impl Network {
     }
 }
 
+/// Spawns the thread that hands delayed envelopes to their inboxes once
+/// they fall due (real-time latency models only).
+fn start_delayer(queue: Arc<DelayQueue>) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name("nimbus-net-delayer".to_string())
+        .spawn(move || loop {
+            let mut state = queue.state.lock();
+            if state.shutdown {
+                return;
+            }
+            // Virtual-time networks drain the queue inline, so the delayer
+            // thread only ever runs against real wall time.
+            // nimbus-lint: allow(clock) — delayer thread is real-time only
+            let now = Instant::now();
+            match state.heap.peek() {
+                Some(d) if d.due <= now => {
+                    let d = state.heap.pop().expect("peeked entry exists");
+                    drop(state);
+                    // A dropped receiver just means the node left; ignore.
+                    let _ = d.to.send(d.envelope);
+                }
+                Some(d) => {
+                    let wait = d.due - now;
+                    queue.cv.wait_for(&mut state, wait);
+                }
+                None => {
+                    queue.cv.wait(&mut state);
+                }
+            }
+        })
+        .expect("spawn delayer thread")
+}
+
 impl Drop for NetworkInner {
     fn drop(&mut self) {
         self.delay_queue.state.lock().shutdown = true;
         self.delay_queue.cv.notify_all();
-        if let Some(handle) = self.delayer.lock().take() {
+        if let Some(handle) = self.delayer.take() {
             let _ = handle.join();
         }
     }

@@ -24,7 +24,7 @@ use nimbus_controller::{Controller, ControllerConfig};
 use nimbus_core::ids::WorkerId;
 use nimbus_core::ControlPlaneStats;
 use nimbus_driver::{DriverError, DriverResult, Session};
-use nimbus_net::{Network, NetworkStats, NodeId, TcpFabric, TransportEndpoint};
+use nimbus_net::{Network, NetworkStats, NodeId, TcpFabric};
 use nimbus_worker::{
     DataFactoryRegistry, FunctionRegistry, ObjectVault, Worker, WorkerConfig, WorkerStats,
 };
@@ -376,7 +376,7 @@ impl Cluster {
     }
 }
 
-fn spawn_worker<E: TransportEndpoint>(id: WorkerId, worker: Worker<E>) -> JoinHandle<WorkerStats> {
+fn spawn_worker(id: WorkerId, worker: Worker) -> JoinHandle<WorkerStats> {
     std::thread::Builder::new()
         .name(format!("nimbus-worker-{id}"))
         .spawn(move || worker.run())

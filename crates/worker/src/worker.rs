@@ -19,8 +19,8 @@ use nimbus_core::ids::{CommandId, JobId, WorkerId};
 use nimbus_core::template::cache::WorkerTemplateCache;
 use nimbus_core::{Command, CommandKind};
 use nimbus_net::{
-    ControllerToWorker, DataPayload, DataTransfer, Endpoint, Envelope, Message, NodeId,
-    TransportEndpoint, TransportEvent, WorkerToController,
+    ControllerToWorker, DataPayload, DataTransfer, Envelope, Message, NodeId, TransportEndpoint,
+    TransportEvent, WorkerToController,
 };
 
 use crate::data_store::{DataFactoryRegistry, DataStore};
@@ -104,11 +104,11 @@ impl JobRuntime {
     }
 }
 
-/// A Nimbus worker node, generic over the transport connecting it to the
-/// cluster (in-process [`Endpoint`] by default, or a TCP endpoint).
-pub struct Worker<E: TransportEndpoint = Endpoint> {
+/// A Nimbus worker node, connected to the cluster by any transport (an
+/// in-process [`nimbus_net::Endpoint`] or a TCP endpoint).
+pub struct Worker {
     id: WorkerId,
-    endpoint: E,
+    endpoint: Box<dyn TransportEndpoint>,
     /// Per-job runtimes, in admission order. Jobs are few per worker, so a
     /// linear scan beats a hash map on the hot path.
     jobs: Vec<JobRuntime>,
@@ -136,15 +136,15 @@ pub struct Worker<E: TransportEndpoint = Endpoint> {
     killed: bool,
 }
 
-impl<E: TransportEndpoint> Worker<E> {
+impl Worker {
     /// Creates a worker bound to a transport endpoint.
-    pub fn new(config: WorkerConfig, endpoint: E) -> Self {
+    pub fn new(config: WorkerConfig, endpoint: impl TransportEndpoint) -> Self {
         let mut executor = Executor::new(config.id, Arc::clone(&config.functions));
         executor.spin_wait = config.spin_wait;
         executor.clock = config.clock;
         Self {
             id: config.id,
-            endpoint,
+            endpoint: Box::new(endpoint),
             jobs: Vec::new(),
             dropped_jobs: std::collections::BTreeSet::new(),
             rr: 0,
@@ -623,7 +623,7 @@ mod tests {
     };
     use nimbus_core::template::{SkeletonEntry, SkeletonKind, WorkerInstantiation, WorkerTemplate};
     use nimbus_core::TaskParams;
-    use nimbus_net::{LatencyModel, Network};
+    use nimbus_net::{Endpoint, LatencyModel, Network};
 
     const JOB: JobId = JobId(1);
     const OTHER_JOB: JobId = JobId(2);
