@@ -17,6 +17,11 @@
 //! `--smoke` runs a small iteration count (the CI mode, so the binary
 //! cannot rot).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks measure real elapsed time by definition"
+)]
+
 use std::time::Instant;
 
 use nimbus_bench::{print_table, BenchJson, TableRow};

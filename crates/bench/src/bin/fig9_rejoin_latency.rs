@@ -9,6 +9,11 @@
 //! handful of iterations, without ever re-recording, while the baseline pays
 //! a re-recording on top of the data movement.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks measure real elapsed time by definition"
+)]
+
 use std::time::{Duration, Instant};
 
 use nimbus_bench::{print_table, BenchJson, TableRow};

@@ -29,6 +29,8 @@
 //! own checkpoint, and replays its own post-checkpoint window, while jobs
 //! without state on the dead worker keep running undisturbed.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 

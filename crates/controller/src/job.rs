@@ -18,6 +18,8 @@
 //! * **the replay window** is a [`ReplayWindow`]: exact, lossy, or out
 //!   being replayed.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 use std::fmt::Display;
 
@@ -48,7 +50,10 @@ const MAX_REPLAY_LOG: usize = 65_536;
 
 /// Something the job does once its outstanding commands have drained. Waits
 /// queue in arrival order ([`Job::syncs`]); the head is the active one.
-#[allow(clippy::large_enum_variant)] // CheckpointSave is rare; boxing would obscure it
+#[expect(
+    clippy::large_enum_variant,
+    reason = "CheckpointSave is rare; boxing would obscure it"
+)]
 enum PendingSync {
     Barrier,
     FetchDrain(LogicalPartition),

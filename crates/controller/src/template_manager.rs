@@ -436,7 +436,6 @@ impl TemplateManager {
 
     /// Plans the execution of an installed group: validation, patching,
     /// per-worker instantiation messages, and data-state updates.
-    #[allow(clippy::too_many_arguments)]
     pub fn plan_instantiation(
         &mut self,
         group_id: TemplateId,

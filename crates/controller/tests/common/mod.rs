@@ -10,8 +10,6 @@
 //! to. A wrong slot, a stale copy, a missing allocation, or commands that wait
 //! for each other all fail here without a thread or a socket.
 
-#![allow(dead_code)]
-
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use nimbus_controller::{

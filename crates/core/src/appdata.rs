@@ -123,7 +123,10 @@ macro_rules! impl_app_data {
             }
 
             fn approx_size(&self) -> usize {
-                #[allow(clippy::redundant_closure_call)]
+                #[expect(
+                    clippy::redundant_closure_call,
+                    reason = "`$size` is written as a closure at the call site"
+                )]
                 ($size)(self)
             }
         }

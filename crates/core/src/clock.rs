@@ -14,6 +14,11 @@
 //! returning `Instant` and every existing `deadline - now` computation
 //! works unchanged.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the Clock abstraction itself: the one sanctioned home of Instant::now"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -8,10 +8,8 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing control-plane activity.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ControlPlaneStats {
     /// Tasks scheduled individually (the non-template path).
     pub tasks_scheduled_directly: u64,
@@ -61,28 +59,9 @@ pub struct ControlPlaneStats {
     /// involvement, no re-recording).
     pub instantiations_replayed: u64,
     /// Wall-clock time attributed to control-plane work.
-    #[serde(with = "duration_micros")]
     pub control_plane_time: Duration,
     /// Wall-clock time attributed to application computation.
-    #[serde(with = "duration_micros")]
     pub computation_time: Duration,
-}
-
-mod duration_micros {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_u64(d.as_micros() as u64)
-    }
-
-    // Referenced by `#[serde(with = "duration_micros")]` only when a real
-    // deserializer drives it; the vendored shim never does, hence the allow.
-    #[allow(dead_code)]
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let micros: u64 = serde::Deserialize::deserialize(d)?;
-        Ok(Duration::from_micros(micros))
-    }
 }
 
 impl ControlPlaneStats {

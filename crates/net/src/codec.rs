@@ -26,16 +26,20 @@
 //! | seq / map              | 4-byte LE element/entry count + contents     |
 //! | tuple / struct         | fields in declaration order, no framing      |
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use serde::de::{self, Deserialize, Deserializer};
 use serde::ser::{self, Serialize};
 
 /// Returns the number of bytes `value` occupies in the wire encoding.
 pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> usize {
     let mut counter = ByteCounter { bytes: 0 };
-    // Counting cannot fail: every serializer method only adds to the counter.
+    #[expect(
+        clippy::expect_used,
+        reason = "counting cannot fail: every ByteCounter method only adds to the counter"
+    )]
     value
         .serialize(&mut counter)
-        // nimbus-lint: allow(panic) — every ByteCounter method is infallible
         .expect("byte counting serializer never fails");
     counter.bytes
 }
@@ -85,7 +89,10 @@ pub fn encode_framed_into<T: Serialize + ?Sized>(
     let payload_len = buf.len() - start - 4;
     let len = u32::try_from(payload_len)
         .map_err(|_| CodecError("frame payload length exceeds u32".to_string()))?;
-    // nimbus-lint: allow(panic) — patches the 4 header bytes appended above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "patches the 4 header bytes appended above"
+    )]
     buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
     Ok(payload_len)
 }

@@ -1,5 +1,10 @@
 //! Process-level diagnostics used by the transport's thread-leak tests.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "polls real OS processes; only meaningful in wall-clock time"
+)]
+
 /// Names of this process's live threads (Linux reads `/proc/self/task`;
 /// other platforms return an empty list). Kernel thread names are truncated
 /// to 15 bytes, so match on prefixes.

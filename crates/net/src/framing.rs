@@ -24,6 +24,8 @@
 //! single frames. Truncated sub-frames, trailing bytes, and empty batches
 //! are all rejected as malformed.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+
 use crate::codec::{self, CodecError};
 use crate::message::Envelope;
 use crate::transport::{NetError, NetResult};
@@ -74,7 +76,10 @@ pub fn append_batch_frame(buf: &mut Vec<u8>, envelopes: &[Envelope]) -> NetResul
         )));
     }
     let header = BATCH_FLAG | payload_len as u32;
-    // nimbus-lint: allow(panic) — patches the 4 header bytes appended above
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "patches the 4 header bytes appended above"
+    )]
     buf[start..start + 4].copy_from_slice(&header.to_le_bytes());
     Ok(())
 }

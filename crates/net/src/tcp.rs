@@ -44,6 +44,11 @@
 //! message is delivered as soon as the kernel has it, not on the next tick
 //! of a poll interval.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "real OS sockets: dial backoff and accept pacing follow kernel time"
+)]
+
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -406,10 +406,11 @@ impl Network {
                 let mut state = self.inner.delay_queue.state.lock();
                 state.seq += 1;
                 let seq = state.seq;
+                // Under virtual time the heap is drained immediately below.
+                #[expect(clippy::disallowed_methods, reason = "real-time delivery due date")]
+                let due = Instant::now() + delay;
                 state.heap.push(Delayed {
-                    // Under virtual time the heap is drained immediately below.
-                    // nimbus-lint: allow(clock) — real-time delivery due date
-                    due: Instant::now() + delay,
+                    due,
                     seq,
                     envelope,
                     to: sender,
@@ -466,7 +467,10 @@ fn start_delayer(queue: Arc<DelayQueue>) -> std::thread::JoinHandle<()> {
             }
             // Virtual-time networks drain the queue inline, so the delayer
             // thread only ever runs against real wall time.
-            // nimbus-lint: allow(clock) — delayer thread is real-time only
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "delayer thread is real-time only"
+            )]
             let now = Instant::now();
             match state.heap.peek() {
                 Some(d) if d.due <= now => {
@@ -693,7 +697,10 @@ mod tests {
         let net = Network::new(LatencyModel::Fixed(Duration::from_millis(20)));
         let controller = net.register(NodeId::Controller);
         let driver = net.register(NodeId::Driver);
-        // nimbus-lint: allow(clock) — this test verifies real wall-clock delay.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test verifies real wall-clock delay"
+        )]
         let start = Instant::now();
         driver
             .send(NodeId::Controller, Message::driver0(DriverMessage::Barrier))
@@ -717,7 +724,10 @@ mod tests {
         // this test never sleeps real milliseconds (and cannot flake under
         // load). `fixed_latency_delays_delivery` still covers the wall-clock
         // behavior.
-        // nimbus-lint: allow(clock) — asserts virtual time burns no real time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts virtual time burns no real time"
+        )]
         let start = Instant::now();
         let net = Network::new_virtual_time(LatencyModel::Fixed(Duration::from_millis(5)));
         let controller = net.register(NodeId::Controller);
@@ -761,7 +771,10 @@ mod tests {
             .unwrap();
         // A 30s fixed delay delivers immediately under virtual time.
         assert!(controller.try_recv().is_ok());
-        // nimbus-lint: allow(clock) — asserts drop does not block on real time.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts drop does not block on real time"
+        )]
         let start = Instant::now();
         drop(driver);
         drop(controller);
@@ -807,7 +820,10 @@ mod tests {
 
         // An empty blocking receive consults the hook (which grants a
         // virtual timeout here; no real waiting happens).
-        // nimbus-lint: allow(clock) — asserts the hook grant avoids real waits.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts the hook grant avoids real waits"
+        )]
         let start = Instant::now();
         assert!(matches!(
             controller.recv_timeout(Duration::from_secs(60)),
@@ -833,7 +849,10 @@ mod tests {
         driver
             .send(NodeId::Controller, Message::driver0(DriverMessage::Barrier))
             .unwrap();
-        // nimbus-lint: allow(clock) — asserts shutdown beats the 30 s delay.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "asserts shutdown beats the 30 s delay"
+        )]
         let start = Instant::now();
         drop(driver);
         drop(controller);

@@ -15,6 +15,11 @@
 //! worker failure without a checkpoint surfaces as `driver error: ...` and
 //! exit code 1 instead of a hang.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "OS-process entry points run under the real clock"
+)]
+
 use std::time::Duration;
 
 use nimbus_controller::{Controller, ControllerConfig};

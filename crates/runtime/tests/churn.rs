@@ -7,6 +7,11 @@
 //! Every test runs under an explicit watchdog: a wedged rejoin must fail in
 //! seconds, not hang the suite.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "runtime tests drive real nodes (threads or child processes) in wall-clock time"
+)]
+
 use std::time::Duration;
 
 use nimbus_core::ids::WorkerId;

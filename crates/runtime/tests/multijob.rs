@@ -8,6 +8,11 @@
 //! per iteration), so any cross-job leakage of physical objects, command
 //! ids, or transfers would corrupt at least one job's closed-form totals.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "runtime tests drive real nodes (threads or child processes) in wall-clock time"
+)]
+
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 

@@ -3,6 +3,11 @@
 //! over TCP loopback), plus fault injection by killing a worker process
 //! mid-job.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "runtime tests drive real nodes (threads or child processes) in wall-clock time"
+)]
+
 use std::io::Read;
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};

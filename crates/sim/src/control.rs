@@ -8,8 +8,6 @@
 //! their queues in parallel; the non-parallelizable reduction tail runs after
 //! the slowest worker finishes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::costs::CostProfile;
 use crate::model::{ClusterModel, WorkloadModel};
 
@@ -89,7 +87,7 @@ impl ControlPlane {
 }
 
 /// The simulated outcome of one iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct IterationBreakdown {
     /// Wall-clock iteration time, in microseconds.
     pub total_us: f64,

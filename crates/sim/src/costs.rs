@@ -6,10 +6,8 @@
 //! local machine by the Criterion microbenchmarks so the figures reflect this
 //! implementation rather than the authors' testbed.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-task and per-event control-plane costs, in microseconds unless noted.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CostProfile {
     /// Installing one task into a controller template (Table 1).
     pub install_controller_template_per_task: f64,

@@ -1,9 +1,7 @@
 //! Cluster and workload models for the scale-out simulations.
 
-use serde::{Deserialize, Serialize};
-
 /// A modeled cluster: worker count and data-plane characteristics.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterModel {
     /// Number of workers allocated to the job.
     pub workers: u32,
@@ -28,7 +26,7 @@ impl ClusterModel {
 /// worker per iteration), so adding workers increases the task count and
 /// shrinks each task — the property that stresses the control plane
 /// (Section 5.3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkloadModel {
     /// Tasks per worker per iteration (80 for the paper's ML benchmarks).
     pub tasks_per_worker: u32,

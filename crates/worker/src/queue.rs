@@ -17,6 +17,8 @@
 //! ranges the controller constructs, so "already seen", "already done" and
 //! "safe to forget" are read off the range rather than looked up per id.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{HashMap, VecDeque};
 
 use nimbus_core::ids::{CommandId, PhysicalObjectId, TransferId};

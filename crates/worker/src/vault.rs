@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn file_backed_vault_survives_the_writing_instance() {
         // Unique per process and per call without reading the wall clock
-        // (the clock lint bans `SystemTime::now` outside the Clock module).
+        // (clippy.toml disallows `SystemTime::now` outside the Clock module).
         static UNIQUE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "nimbus-vault-test-{}-{}",

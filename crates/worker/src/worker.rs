@@ -9,6 +9,8 @@
 //! commands are executed round-robin across jobs so one busy job cannot
 //! starve another on a shared worker.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
