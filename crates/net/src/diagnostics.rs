@@ -21,9 +21,10 @@ pub fn live_thread_names() -> Vec<String> {
 }
 
 /// Polls until no live thread name starts with `prefix`, up to `timeout`.
-/// Returns the surviving names on timeout, or `None` once clear. Transport
-/// threads wind down asynchronously within their poll interval, so leak
-/// assertions need a bounded wait rather than a single snapshot.
+/// Returns the surviving names on timeout, or `None` once clear. A thread a
+/// transport spawns (the in-process network's delayer; a TCP endpoint
+/// spawns none) winds down asynchronously after its owner is dropped, so
+/// leak assertions need a bounded wait rather than a single snapshot.
 pub fn wait_for_no_thread_with_prefix(
     prefix: &str,
     timeout: std::time::Duration,

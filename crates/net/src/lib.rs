@@ -18,6 +18,7 @@ pub mod diagnostics;
 pub mod framing;
 pub mod message;
 pub mod payload;
+mod poll;
 pub mod stats;
 pub mod tcp;
 pub mod transport;

@@ -38,31 +38,33 @@
 //! each change to a record, with the notice it implies, is one critical
 //! section, so the inbox sees notices in the order the record changed.
 //!
-//! The accept loop blocks in `accept(2)` (woken by a self-connect at
-//! shutdown) and readers block in `read(2)` (unblocked by `shutdown(2)` on
-//! their streams at drop), so an idle cluster burns no CPU polling and a
-//! message is delivered as soon as the kernel has it, not on the next tick
-//! of a poll interval.
+//! A node is one thread, its owner; nothing reads in the background.
+//! `recv`, `recv_timeout`, `try_recv` and `pending` run one `poll(2)` over
+//! the non-blocking listener and inbound streams, give each readable stream
+//! one `read(2)` into its own buffer and queue every whole frame in it, so
+//! a frame costs one wake-up of the owner. The owner also receives while
+//! the kernel will not take one of its writes and during a first dial's
+//! retry pause, so two nodes writing to each other cannot deadlock.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "real OS sockets: dial backoff and accept pacing follow kernel time"
+    reason = "real OS sockets: dial backoff and receive deadlines follow kernel time"
 )]
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec;
 use crate::framing::{self, BATCH_FLAG};
 use crate::message::{Envelope, Message, NodeId, Tag, TransportEvent};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::stats::{NetworkStats, SharedNetworkStats};
 use crate::transport::{NetError, NetResult, TransportEndpoint};
 
@@ -71,8 +73,19 @@ pub use crate::framing::MAX_FRAME;
 /// Pause between attempts while a *first* dial waits out the startup window.
 const DIAL_PAUSE: Duration = Duration::from_millis(20);
 
-/// Back-off applied by the accept loop after a transient `accept` error.
+/// How long the listener is left out of the poll set after a transient
+/// `accept` error (e.g. `EMFILE`), which would otherwise report it ready
+/// on every poll.
 const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(20);
+
+/// After a `try_recv` poll finds nothing, further `try_recv`s within this
+/// window return `Empty` without polling. Blocking receives always poll, so
+/// this only bounds how stale a busy owner's view of its sockets can get,
+/// and it spares a drain-then-work loop an empty `poll(2)` per unit of work.
+const REPOLL_AFTER: Duration = Duration::from_micros(20);
+
+/// Bytes one `read(2)` asks for (more only to complete a larger frame).
+const READ_CHUNK: usize = 64 << 10;
 
 /// Timing knobs of the supervised dialing policy.
 ///
@@ -246,31 +259,22 @@ enum Link {
     Down(PeerBackoff),
 }
 
-/// The reader threads, plus a clone of every live reader's stream keyed by
-/// reader id, so drop can `shutdown(2)` them to unblock the blocking reads.
-#[derive(Default)]
-struct Readers {
-    threads: Vec<JoinHandle<()>>,
-    streams: HashMap<u64, TcpStream>,
-}
-
 struct Shared {
     node: NodeId,
     book: Arc<RwLock<AddrBook>>,
     dial_policy: DialPolicy,
     peers: Mutex<HashMap<NodeId, Peer>>,
-    inbox_tx: Sender<Envelope>,
+    /// Connectivity notices, sent inside the peer table's critical section
+    /// and moved into the inbox queue right after each transition.
+    notices: mpsc::Sender<Envelope>,
     stats: Arc<SharedNetworkStats>,
-    shutdown: AtomicBool,
-    readers: Mutex<Readers>,
-    next_reader_id: AtomicU64,
 }
 
 impl Shared {
     /// Queues a connectivity notice about `peer`; `false` if the endpoint
     /// is gone.
     fn notify(&self, peer: NodeId, event: TransportEvent) -> bool {
-        self.inbox_tx
+        self.notices
             .send(Envelope {
                 from: peer,
                 to: self.node,
@@ -329,13 +333,12 @@ impl Shared {
     }
 }
 
-/// One node's connection to a TCP fabric. See the module docs for the
-/// threading model: one accept thread plus one reader thread per inbound
-/// peer connection, all joined on drop.
+/// One node's connection to a TCP fabric. It runs no thread: it receives
+/// only when its owner calls it, and it is `Send` but not `Sync`, so it has
+/// exactly one owner (see the module docs). Dropping it closes its sockets.
 pub struct TcpEndpoint {
-    shared: Arc<Shared>,
-    inbox: Receiver<Envelope>,
-    accept_thread: Option<JoinHandle<()>>,
+    shared: Shared,
+    inbox: RefCell<Inbox>,
     local_addr: SocketAddr,
 }
 
@@ -348,27 +351,26 @@ impl TcpEndpoint {
         dial_policy: DialPolicy,
     ) -> NetResult<Self> {
         let local_addr = listener.local_addr().map_err(io_err)?;
-        let (inbox_tx, inbox) = unbounded();
-        let shared = Arc::new(Shared {
-            node,
-            book,
-            dial_policy,
-            peers: Mutex::default(),
-            inbox_tx,
-            stats,
-            shutdown: AtomicBool::new(false),
-            readers: Mutex::default(),
-            next_reader_id: AtomicU64::new(0),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("nimbus-tcp-accept-{node}"))
-            .spawn(move || accept_loop(listener, accept_shared))
-            .map_err(io_err)?;
+        listener.set_nonblocking(true).map_err(io_err)?;
+        let (notices, notices_rx) = mpsc::channel();
         Ok(Self {
-            shared,
-            inbox,
-            accept_thread: Some(accept_thread),
+            shared: Shared {
+                node,
+                book,
+                dial_policy,
+                peers: Mutex::default(),
+                notices,
+                stats,
+            },
+            inbox: RefCell::new(Inbox {
+                listener,
+                accept_after: None,
+                streams: Vec::new(),
+                queue: VecDeque::new(),
+                notices: notices_rx,
+                fds: Vec::new(),
+                polled_empty: None,
+            }),
             local_addr,
         })
     }
@@ -381,6 +383,28 @@ impl TcpEndpoint {
     /// Snapshot of the traffic counters shared with the fabric.
     pub fn stats(&self) -> NetworkStats {
         self.shared.stats.snapshot()
+    }
+
+    /// One poll over the inbound side (see [`Inbox::pump`]).
+    fn pump(&self, timeout: Option<Duration>, out: Option<RawFd>) -> std::io::Result<()> {
+        self.inbox.borrow_mut().pump(&self.shared, timeout, out)
+    }
+
+    /// The next queued envelope, polling the sockets until `deadline`
+    /// (`None` waits indefinitely; a past deadline polls once).
+    fn next(&self, deadline: Option<Instant>) -> NetResult<Envelope> {
+        let mut polled = false;
+        loop {
+            if let Some(envelope) = self.inbox.borrow_mut().settled().pop_front() {
+                return Ok(envelope);
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if polled && left.is_some_and(|left| left.is_zero()) {
+                return Err(NetError::Timeout);
+            }
+            self.pump(left, None).map_err(io_err)?;
+            polled = true;
+        }
     }
 
     fn writer_for(&self, to: NodeId) -> NetResult<Arc<Mutex<PeerWriter>>> {
@@ -411,23 +435,20 @@ impl TcpEndpoint {
             Some(_) => TcpStream::connect_timeout(&addr, policy.connect_timeout),
             None => {
                 // First dial: wait out the startup window so the cluster's
-                // processes can come up in any order.
+                // processes can come up in any order, receiving meanwhile.
                 let deadline = Instant::now() + policy.retry_window;
                 loop {
                     match TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
-                        Err(e)
-                            if self.shared.shutdown.load(Ordering::Relaxed)
-                                || Instant::now() >= deadline =>
-                        {
-                            break Err(e)
+                        Err(e) if Instant::now() >= deadline => break Err(e),
+                        Err(_) => {
+                            let _ = self.pump(Some(DIAL_PAUSE), None);
                         }
-                        Err(_) => std::thread::sleep(DIAL_PAUSE),
                         done => break done,
                     }
                 }
             }
         };
-        let stream = match dialed {
+        let stream = match dialed.and_then(|s| s.set_nonblocking(true).map(|()| s)) {
             Ok(stream) => stream,
             Err(e) => {
                 self.dial_failed(to, redial_at.is_some());
@@ -435,17 +456,12 @@ impl TcpEndpoint {
             }
         };
         stream.set_nodelay(true).ok();
-        let mut peers = self.shared.peers.lock();
-        let peer = peers.entry(to).or_default();
-        // A concurrent send may have dialed the same peer; keep the first.
-        if let Link::Up(writer) = &peer.link {
-            return Ok(Arc::clone(writer));
-        }
         let writer = Arc::new(Mutex::new(PeerWriter {
             stream,
             buf: Vec::new(),
         }));
-        peer.link = Link::Up(Arc::clone(&writer));
+        let mut peers = self.shared.peers.lock();
+        peers.entry(to).or_default().link = Link::Up(Arc::clone(&writer));
         Ok(writer)
     }
 
@@ -469,16 +485,7 @@ impl TcpEndpoint {
     ) -> NetResult<()> {
         for attempt in 0..2 {
             let writer = self.writer_for(to)?;
-            let written = {
-                let mut guard = writer.lock();
-                let w = &mut *guard;
-                w.buf.clear();
-                encode(&mut w.buf)?;
-                let r = w.stream.write_all(&w.buf);
-                w.shrink();
-                r
-            };
-            if written.is_ok() {
+            if self.write_corked(&writer, &encode)? {
                 self.shared.stats.record_tcp_write();
                 return Ok(());
             }
@@ -490,10 +497,47 @@ impl TcpEndpoint {
         Err(NetError::Disconnected(to.to_string()))
     }
 
+    /// Encodes into `writer`'s buffer and writes all of it; `Ok(false)` if
+    /// the stream failed. While the kernel will not take the rest, this
+    /// waits for the stream to drain *and* receives: the peer may itself be
+    /// blocked writing to us, and only our owner reads our inbound streams.
+    fn write_corked(
+        &self,
+        writer: &Mutex<PeerWriter>,
+        encode: impl Fn(&mut Vec<u8>) -> NetResult<()>,
+    ) -> NetResult<bool> {
+        let mut guard = writer.lock();
+        guard.buf.clear();
+        encode(&mut guard.buf)?;
+        let mut written = 0;
+        let ok = loop {
+            let w = &mut *guard;
+            match w.stream.write(&w.buf[written..]) {
+                Ok(0) => break false,
+                Ok(n) if written + n == w.buf.len() => break true,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let fd = w.stream.as_raw_fd();
+                    // One lock at a time: receiving may update the peer
+                    // table.
+                    drop(guard);
+                    if self.pump(None, Some(fd)).is_err() {
+                        return Ok(false);
+                    }
+                    guard = writer.lock();
+                }
+                Err(_) => break false,
+            }
+        };
+        guard.shrink();
+        Ok(ok)
+    }
+
     /// A dial to `to` failed: mark the peer down (retriable, not dead
     /// forever) so later sends fail fast until the backoff allows another
     /// attempt — a failed redial doubles the backoff, a failed first dial
-    /// starts it. A stream a concurrent send established meanwhile stays.
+    /// starts it. A stream established meanwhile stays.
     fn dial_failed(&self, to: NodeId, redial: bool) {
         let policy = self.shared.dial_policy;
         let mut peers = self.shared.peers.lock();
@@ -532,19 +576,215 @@ struct PeerWriter {
     buf: Vec<u8>,
 }
 
-/// Encode-buffer capacity retained across flushes. Control messages are a
-/// few hundred bytes; without this cap a single near-`MAX_FRAME` data
-/// transfer would pin its high-water capacity on that peer's writer for the
-/// life of the connection.
-const WRITER_BUF_RETAIN: usize = 256 << 10;
+/// Encode- and read-buffer capacity retained once a buffer is done with.
+/// Control messages are a few hundred bytes; without this cap a single
+/// near-`MAX_FRAME` data transfer would pin its high-water capacity on that
+/// peer's stream for the life of the connection.
+const BUF_RETAIN: usize = 256 << 10;
 
 impl PeerWriter {
     /// Releases an outlier-sized buffer after a flush.
     fn shrink(&mut self) {
-        if self.buf.capacity() > WRITER_BUF_RETAIN {
+        if self.buf.capacity() > BUF_RETAIN {
             self.buf = Vec::new();
         }
     }
+}
+
+/// The receive side, touched only by the endpoint's owner.
+struct Inbox {
+    listener: TcpListener,
+    /// The listener sits out the poll set until this instant after a
+    /// transient `accept` error.
+    accept_after: Option<Instant>,
+    streams: Vec<Inbound>,
+    /// Decoded envelopes and notices, in delivery order.
+    queue: VecDeque<Envelope>,
+    notices: mpsc::Receiver<Envelope>,
+    /// The poll set, rebuilt per poll in a reused allocation.
+    fds: Vec<PollFd>,
+    /// When a `try_recv` last polled and found nothing.
+    polled_empty: Option<Instant>,
+}
+
+impl Inbox {
+    /// The queue, with any notice sent from outside a receive appended.
+    fn settled(&mut self) -> &mut VecDeque<Envelope> {
+        self.queue.extend(self.notices.try_iter());
+        &mut self.queue
+    }
+
+    /// One `poll(2)` over the listener, every inbound stream and, if given,
+    /// `out` (a dialed stream waiting to become writable), for at most
+    /// `timeout`. Accepts every pending connection, gives each readable
+    /// stream one `read(2)`, and queues every whole frame.
+    fn pump(
+        &mut self,
+        shared: &Shared,
+        timeout: Option<Duration>,
+        out: Option<RawFd>,
+    ) -> std::io::Result<()> {
+        let pause = self
+            .accept_after
+            .and_then(|at| at.checked_duration_since(Instant::now()))
+            .filter(|pause| !pause.is_zero());
+        let (listener, timeout) = match pause {
+            Some(pause) => (-1, Some(timeout.map_or(pause, |t| t.min(pause)))),
+            None => {
+                self.accept_after = None;
+                (self.listener.as_raw_fd(), timeout)
+            }
+        };
+        self.fds.clear();
+        self.fds.push(PollFd::new(listener, POLLIN));
+        self.fds.extend(
+            self.streams
+                .iter()
+                .map(|s| PollFd::new(s.stream.as_raw_fd(), POLLIN)),
+        );
+        if let Some(fd) = out {
+            self.fds.push(PollFd::new(fd, POLLOUT));
+        }
+        if poll::wait(&mut self.fds, timeout)? == 0 {
+            return Ok(());
+        }
+        // Backwards, so `swap_remove` only moves streams already served.
+        for i in (0..self.streams.len()).rev() {
+            if self.fds[i + 1].revents == 0 {
+                continue;
+            }
+            if !self.streams[i].receive(shared, &mut self.queue, &self.notices) {
+                let closed = self.streams.swap_remove(i);
+                if let Some(peer) = closed.peer {
+                    shared.stream_closed(peer);
+                    self.queue.extend(self.notices.try_iter());
+                }
+            }
+        }
+        if self.fds[0].revents != 0 {
+            self.accept();
+        }
+        Ok(())
+    }
+
+    /// Accepts every connection the listener holds.
+    fn accept(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        stream.set_nodelay(true).ok();
+                        self.streams.push(Inbound {
+                            stream,
+                            buf: Vec::new(),
+                            len: 0,
+                            peer: None,
+                        });
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Transient failures (ECONNABORTED: peer reset before
+                // accept; EMFILE: momentary fd exhaustion) must not make
+                // the node unreachable; they pause accepting instead of
+                // spinning on a listener that stays ready.
+                Err(_) => {
+                    self.accept_after = Some(Instant::now() + ACCEPT_ERROR_PAUSE);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// One accepted stream and the bytes read from it that do not yet make a
+/// whole frame (`buf[..len]`).
+struct Inbound {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    len: usize,
+    /// The peer its first envelope identified.
+    peer: Option<NodeId>,
+}
+
+impl Inbound {
+    /// One `read(2)` — of at least [`READ_CHUNK`], or of the rest of a frame
+    /// whose header is in — then every whole frame in the buffer decoded in
+    /// place and queued. Batch frames are expanded into their envelopes in
+    /// order, so nodes only ever observe plain envelopes — batching is
+    /// invisible above the wire. Returns `false` when the connection must be
+    /// dropped: EOF, an IO error, an oversized or undecodable frame, or a
+    /// forged transport event.
+    fn receive(
+        &mut self,
+        shared: &Shared,
+        queue: &mut VecDeque<Envelope>,
+        notices: &mpsc::Receiver<Envelope>,
+    ) -> bool {
+        let frame = header(&self.buf[..self.len]).map_or(0, |(_, len)| 4 + len);
+        let room = READ_CHUNK.max(frame.saturating_sub(self.len));
+        if self.buf.len() < self.len + room {
+            self.buf.resize(self.len + room, 0);
+        }
+        match self.stream.read(&mut self.buf[self.len..]) {
+            Ok(0) => return false,
+            Ok(n) => self.len += n,
+            Err(e) => return matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+        }
+        // The first envelope identifies the stream's peer (after the notice
+        // of a lost peer's return).
+        let peer = &mut self.peer;
+        let mut deliver = |envelope: Envelope| {
+            // Transport events are generated locally, never sent: a peer that
+            // puts one on the wire is forging connectivity notices (e.g. a
+            // fake PeerDisconnected(Controller) would shut a worker down).
+            // Treat it as a malformed peer.
+            if matches!(envelope.message, Message::Transport(_)) {
+                return false;
+            }
+            if peer.is_none() {
+                *peer = Some(envelope.from);
+                shared.stream_opened(envelope.from);
+                queue.extend(notices.try_iter());
+            }
+            queue.push_back(envelope);
+            true
+        };
+        let mut at = 0;
+        // The size is checked before the next read makes room for it.
+        while let Some((is_batch, len)) = header(&self.buf[at..self.len]) {
+            if len > MAX_FRAME {
+                return false;
+            }
+            let Some(payload) = self.buf[at..self.len].get(4..4 + len) else {
+                break; // The rest of the frame is still in flight.
+            };
+            let delivered = if is_batch {
+                framing::parse_batch(payload).is_ok_and(|batch| batch.into_iter().all(&mut deliver))
+            } else {
+                codec::decode::<Envelope>(payload).is_ok_and(&mut deliver)
+            };
+            if !delivered {
+                return false;
+            }
+            at += 4 + len;
+        }
+        if at > 0 {
+            self.buf.copy_within(at..self.len, 0);
+            self.len -= at;
+        }
+        if self.len == 0 && self.buf.len() > BUF_RETAIN {
+            self.buf = Vec::new();
+        }
+        true
+    }
+}
+
+/// The batch flag and payload length of the frame `bytes` starts with, once
+/// its four header bytes are in.
+fn header(bytes: &[u8]) -> Option<(bool, usize)> {
+    let header = u32::from_le_bytes(*bytes.first_chunk::<4>()?);
+    Some((header & BATCH_FLAG != 0, (header & !BATCH_FLAG) as usize))
 }
 
 impl TransportEndpoint for TcpEndpoint {
@@ -564,10 +804,7 @@ impl TransportEndpoint for TcpEndpoint {
             message,
         };
         if to == self.shared.node {
-            self.shared
-                .inbox_tx
-                .send(envelope)
-                .map_err(|_| NetError::Disconnected(to.to_string()))?;
+            self.inbox.borrow_mut().queue.push_back(envelope);
         } else {
             self.flush_frame(to, |buf| framing::append_frame(buf, &envelope).map(drop))?;
         }
@@ -611,12 +848,7 @@ impl TransportEndpoint for TcpEndpoint {
             })
             .collect();
         if to == self.shared.node {
-            for envelope in envelopes {
-                self.shared
-                    .inbox_tx
-                    .send(envelope)
-                    .map_err(|_| NetError::Disconnected(to.to_string()))?;
-            }
+            self.inbox.borrow_mut().queue.extend(envelopes);
         } else {
             // All-or-nothing, so a retried write re-sends nothing that was
             // delivered.
@@ -630,23 +862,33 @@ impl TransportEndpoint for TcpEndpoint {
     }
 
     fn recv(&self) -> NetResult<Envelope> {
-        self.inbox
-            .recv()
-            .map_err(|_| NetError::Disconnected(self.shared.node.to_string()))
+        self.next(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
-        self.inbox
-            .recv_timeout(timeout)
-            .map_err(|_| NetError::Timeout)
+        self.next(Instant::now().checked_add(timeout))
     }
 
+    /// Polls the sockets when nothing is queued — unless a poll found
+    /// nothing within [`REPOLL_AFTER`]: an owner draining between units of
+    /// work would otherwise pay an empty `poll(2)` per unit.
     fn try_recv(&self) -> NetResult<Envelope> {
-        self.inbox.try_recv().map_err(|_| NetError::Empty)
+        let mut inbox = self.inbox.borrow_mut();
+        if inbox.settled().is_empty() {
+            let now = Instant::now();
+            if inbox.polled_empty.is_none_or(|at| now - at >= REPOLL_AFTER) {
+                inbox
+                    .pump(&self.shared, Some(Duration::ZERO), None)
+                    .map_err(io_err)?;
+                inbox.polled_empty = inbox.settled().is_empty().then_some(now);
+            }
+        }
+        inbox.settled().pop_front().ok_or(NetError::Empty)
     }
 
     fn pending(&self) -> usize {
-        self.inbox.len()
+        let _ = self.pump(Some(Duration::ZERO), None);
+        self.inbox.borrow_mut().settled().len()
     }
 
     fn reset_worker_peers(&self) {
@@ -656,210 +898,6 @@ impl TransportEndpoint for TcpEndpoint {
             }
         }
     }
-}
-
-impl Drop for TcpEndpoint {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        // Closing write halves lets peers' readers observe EOF promptly.
-        for peer in self.shared.peers.lock().values_mut() {
-            peer.link = Link::Idle;
-        }
-        // Unblock our own readers: shut their streams down so the blocking
-        // reads return immediately.
-        for stream in self.shared.readers.lock().streams.values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        // Wake the blocking accept with a throwaway self-connection.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let readers = std::mem::take(&mut self.shared.readers.lock().threads);
-        for handle in readers {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return; // The wake-up self-connection from drop.
-                }
-                stream.set_nodelay(true).ok();
-                let reader_id = shared.next_reader_id.fetch_add(1, Ordering::Relaxed);
-                match stream.try_clone() {
-                    Ok(clone) => {
-                        shared.readers.lock().streams.insert(reader_id, clone);
-                    }
-                    Err(_) => {
-                        // Without a clone drop cannot unblock this reader;
-                        // fall back to a read timeout so the shutdown flag
-                        // is still honored within a bounded delay.
-                        stream
-                            .set_read_timeout(Some(Duration::from_millis(100)))
-                            .ok();
-                    }
-                }
-                let reader_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("nimbus-tcp-read-{}", shared.node))
-                    .spawn(move || reader_loop(stream, reader_id, reader_shared));
-                if let Ok(handle) = spawned {
-                    let mut readers = shared.readers.lock();
-                    // Reap finished readers so short-lived connections (a
-                    // malformed peer, a port probe) don't accumulate
-                    // join handles for the life of the endpoint.
-                    readers.threads.retain(|t| !t.is_finished());
-                    readers.threads.push(handle);
-                }
-            }
-            // Transient failures (ECONNABORTED: peer reset before accept;
-            // EMFILE: momentary fd exhaustion) must not kill the accept
-            // thread — that would silently make the node unreachable for
-            // every future dial. Back off and keep accepting; shutdown is
-            // the only exit.
-            Err(_) => {
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(ACCEPT_ERROR_PAUSE);
-            }
-        }
-    }
-}
-
-/// Delivers one decoded envelope into the local inbox, identifying the peer
-/// on its first envelope (and injecting the reconnect notice when a
-/// previously lost peer returns). Returns `false` when the connection must
-/// be dropped: a forged transport event, or the endpoint going away.
-fn deliver_envelope(envelope: Envelope, peer: &mut Option<NodeId>, shared: &Shared) -> bool {
-    // Transport events are generated locally, never sent: a peer that puts
-    // one on the wire is forging connectivity notices (e.g. a fake
-    // PeerDisconnected(Controller) would shut a worker down). Treat it as a
-    // malformed peer.
-    if matches!(envelope.message, Message::Transport(_)) {
-        return false;
-    }
-    if peer.is_none() {
-        *peer = Some(envelope.from);
-        if !shared.stream_opened(envelope.from) {
-            return false; // Endpoint dropped.
-        }
-    }
-    shared.inbox_tx.send(envelope).is_ok()
-}
-
-/// Reads frames off one inbound connection until EOF, error, or shutdown.
-/// Batch frames are expanded into their envelopes in order, so nodes only
-/// ever observe plain envelopes — batching is invisible above the wire.
-/// The first envelope identifies the peer; losing the peer's *last* inbound
-/// stream injects [`TransportEvent::PeerDisconnected`], and a new stream
-/// from a previously lost peer injects [`TransportEvent::PeerReconnected`]
-/// ahead of its first envelope.
-fn reader_loop(mut stream: TcpStream, reader_id: u64, shared: Arc<Shared>) {
-    let mut peer: Option<NodeId> = None;
-    'conn: loop {
-        match read_frame(&mut stream, &shared) {
-            Ok(Some(Frame::Single(payload))) => match codec::decode::<Envelope>(&payload) {
-                Ok(envelope) => {
-                    if !deliver_envelope(envelope, &mut peer, &shared) {
-                        break; // Malformed peer or endpoint dropped.
-                    }
-                }
-                Err(_) => break, // Malformed peer: drop the connection.
-            },
-            Ok(Some(Frame::Batch(payload))) => match framing::parse_batch(&payload) {
-                Ok(envelopes) => {
-                    for envelope in envelopes {
-                        if !deliver_envelope(envelope, &mut peer, &shared) {
-                            break 'conn;
-                        }
-                    }
-                }
-                Err(_) => break, // Malformed peer: drop the connection.
-            },
-            Ok(None) => break, // Shutdown requested.
-            Err(_) => break,   // EOF or transport error.
-        }
-    }
-    shared.readers.lock().streams.remove(&reader_id);
-    if shared.shutdown.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(peer) = peer {
-        shared.stream_closed(peer);
-    }
-}
-
-/// One frame off the wire: a single envelope's payload, or a batch frame's
-/// payload (several concatenated sub-frames; see [`crate::framing`]).
-enum Frame {
-    Single(Vec<u8>),
-    Batch(Vec<u8>),
-}
-
-/// Reads one length-prefixed frame. Returns `Ok(None)` when shutdown was
-/// requested mid-read, `Err` on EOF, oversized frames, or IO errors. The
-/// header's high bit distinguishes batch frames from single frames.
-fn read_frame(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<Option<Frame>> {
-    let mut header = [0u8; 4];
-    if read_full(stream, &mut header, shared)?.is_none() {
-        return Ok(None);
-    }
-    let header = u32::from_le_bytes(header);
-    let is_batch = header & BATCH_FLAG != 0;
-    let len = (header & !BATCH_FLAG) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    if read_full(stream, &mut payload, shared)?.is_none() {
-        return Ok(None);
-    }
-    Ok(Some(if is_batch {
-        Frame::Batch(payload)
-    } else {
-        Frame::Single(payload)
-    }))
-}
-
-/// `read_exact` that keeps checking the shutdown flag. Reads block in the
-/// kernel; drop unblocks them by shutting the stream down (or, for streams
-/// that could not be cloned, through their fallback read timeout). Returns
-/// `Ok(None)` when shutdown was requested.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-) -> std::io::Result<Option<()>> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return Ok(None);
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "connection closed",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(()))
 }
 
 #[cfg(test)]
@@ -1356,6 +1394,99 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Two nodes that each write far more than the kernel buffers before
+    /// reading anything both complete: a write the kernel will not take
+    /// keeps draining the writer's own inbound streams.
+    #[test]
+    fn mutual_floods_larger_than_socket_buffers_both_complete() {
+        use crate::message::DataTransfer;
+        use crate::payload::DataPayload;
+        use nimbus_core::TransferId;
+
+        const FRAME: usize = 60 << 10;
+        const FRAMES: u64 = (16 << 20) / FRAME as u64 + 1;
+        let nodes = [NodeId::Worker(WorkerId(0)), NodeId::Worker(WorkerId(1))];
+        let fabric = TcpFabric::bind_loopback(&nodes).unwrap();
+        let frame = |i: u64| {
+            Message::Data(DataTransfer {
+                job: nimbus_core::JobId(1),
+                transfer: TransferId(i),
+                from_worker: WorkerId(0),
+                payload: DataPayload::Bytes(bytes::Bytes::from_vec(vec![i as u8; FRAME])),
+            })
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let floods = [(nodes[0], nodes[1]), (nodes[1], nodes[0])].map(|(me, peer)| {
+            let endpoint = fabric.endpoint(me).unwrap();
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..FRAMES {
+                    endpoint.send(peer, frame(i)).unwrap();
+                }
+                for i in 0..FRAMES {
+                    let env = endpoint.recv_timeout(Duration::from_secs(30)).unwrap();
+                    assert!(env.message == frame(i), "frame {i} lost, corrupted or late");
+                }
+                done.send(()).unwrap();
+            })
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for _ in floods.iter() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let done = done_rx.recv_timeout(left);
+            assert!(done.is_ok(), "a flood stalled: the two writers deadlocked");
+        }
+        for flood in floods {
+            flood.join().unwrap();
+        }
+    }
+
+    /// A node is one thread, its owner: traffic both ways and a peer's drop
+    /// and return start no transport thread.
+    #[test]
+    fn a_tcp_node_runs_no_transport_threads() {
+        let no_transport_threads = |step: &str| {
+            let names = crate::diagnostics::live_thread_names();
+            let found = names.iter().any(|n| n.starts_with("nimbus-tcp"));
+            assert!(!found, "{step}: {names:?}");
+        };
+        let exchange = |driver: &TcpEndpoint, controller: &TcpEndpoint| {
+            let barrier = Message::driver0(DriverMessage::Barrier);
+            driver.send(NodeId::Controller, barrier.clone()).unwrap();
+            let env = controller.recv_timeout(Duration::from_secs(5)).unwrap();
+            let env = match env.message {
+                Message::Transport(TransportEvent::PeerReconnected(_)) => {
+                    controller.recv_timeout(Duration::from_secs(5)).unwrap()
+                }
+                _ => env,
+            };
+            assert_eq!(env.message, barrier);
+            // The first send after the driver's return redials it.
+            let ack = || Message::ToDriver(ControllerToDriver::Ack);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while controller.send(NodeId::Driver, ack()).is_err() {
+                assert!(
+                    Instant::now() < deadline,
+                    "the returned driver is unreachable"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            driver.recv_timeout(Duration::from_secs(5)).unwrap();
+        };
+        let (fabric, driver, controller) = loopback_pair();
+        no_transport_threads("endpoints created");
+        exchange(&driver, &controller);
+        no_transport_threads("traffic both ways");
+        drop(driver);
+        let env = controller.recv_timeout(Duration::from_secs(5)).unwrap();
+        let lost = TransportEvent::PeerDisconnected(NodeId::Driver);
+        assert_eq!(env.message, Message::Transport(lost));
+        no_transport_threads("peer dropped");
+        let driver = fabric.endpoint(NodeId::Driver).unwrap();
+        exchange(&driver, &controller);
+        no_transport_threads("peer re-created, traffic both ways");
     }
 
     #[test]

@@ -135,7 +135,8 @@ fn tcp_cluster_shuts_down_without_leaking_threads() {
         .expect("job completes");
     assert_eq!(report.output.len(), 2);
     if cfg!(target_os = "linux") {
-        // Reader/acceptor threads wind down within their poll interval.
+        // A TCP node's only thread is its owner, so no transport thread
+        // may outlive the cluster.
         let leaked = nimbus_net::diagnostics::wait_for_no_thread_with_prefix(
             "nimbus-tcp",
             Duration::from_secs(10),
