@@ -38,7 +38,7 @@ use nimbus_core::ids::{JobId, WorkerId};
 use nimbus_core::{Clock, ControlPlaneStats};
 use nimbus_net::{
     ControllerToDriver, ControllerToWorker, DriverMessage, Envelope, JobVersions, Message,
-    NetError, NodeId, TransportEndpoint, TransportEvent, WorkerToController,
+    NetError, NetResult, Next, NodeId, TransportEndpoint, TransportEvent, WorkerToController,
 };
 
 use crate::assignment::AssignmentPolicy;
@@ -46,7 +46,7 @@ use crate::error::{ControllerError, ControllerResult};
 use crate::job::{Job, Loss};
 
 /// Upper bound on how many already-queued envelopes (or queued driver
-/// messages) one loop turn handles before flushing the cork (see
+/// messages) one turn handles before flushing the cork (see
 /// [`Controller::turn`]).
 const CORK_BURST: usize = 128;
 
@@ -329,27 +329,36 @@ impl Controller {
     /// Runs the controller until the cluster shuts down; returns the
     /// accumulated control-plane statistics.
     pub fn run(mut self) -> ControlPlaneStats {
-        while self.turn() {}
+        let mut wake = None;
+        loop {
+            wake = match self.turn(wake) {
+                Next::Run => None,
+                Next::Wait(None) => Some(self.shared.endpoint.recv()),
+                Next::Wait(Some(timeout)) => Some(self.shared.endpoint.recv_timeout(timeout)),
+                Next::Exit => return self.finish(),
+            };
+        }
+    }
+
+    /// Ends a stopped controller: the final flush, then the statistics.
+    pub fn finish(mut self) -> ControlPlaneStats {
         self.flush();
         self.shared.stats
     }
 
-    /// One turn of the controller loop: wait for something to do, do a
-    /// burst of it, flush the cork. Returns false once the cluster shut down
-    /// or the transport closed.
-    pub(crate) fn turn(&mut self) -> bool {
-        // Block only when there is neither a parked registration to re-offer
-        // nor a serviceable queued driver message.
-        if !self.jobs.iter().any(Job::serviceable) {
-            let wake = match self.next_held() {
-                Some(envelope) => Ok(envelope),
-                None => self.block(),
-            };
-            match wake {
-                Ok(envelope) => self.handle(envelope),
-                Err(NetError::Timeout) => self.expire_due_deadlines(),
-                Err(_) => return false,
-            }
+    /// One turn of the controller loop: handle the wake, do a burst of
+    /// whatever is already queued, flush the cork. Never blocks: it returns
+    /// what the controller needs next — another turn, a blocking receive
+    /// (until the earliest rejoin deadline, if a worker is inside its grace
+    /// window), or nothing once the cluster shut down or the transport
+    /// closed. With no wake and nothing queued it only names its wait.
+    pub fn turn(&mut self, wake: Option<NetResult<Envelope>>) -> Next {
+        match wake.or_else(|| self.own_wake()) {
+            Some(Ok(envelope)) => self.handle(envelope),
+            Some(Err(NetError::Timeout)) => self.expire_due_deadlines(),
+            Some(Err(_)) => return Next::Exit,
+            None if !self.jobs.iter().any(Job::serviceable) => return self.next(),
+            None => {}
         }
         // Opportunistic burst drain: handle whatever is already queued
         // before flushing, so the sends of many pipelined driver
@@ -373,20 +382,44 @@ impl Controller {
         }
         self.flush();
         self.sweep_done_jobs();
-        self.running
+        self.next()
     }
 
-    /// Blocks for the next envelope — or, with a worker inside its rejoin
-    /// grace window, until the earliest deadline (`Err(Timeout)`).
-    fn block(&mut self) -> Result<Envelope, NetError> {
-        let Some(deadline) = self.rejoin_deadlines.iter().map(|(_, d)| *d).min() else {
-            return self.shared.endpoint.recv();
-        };
-        let now = self.config.clock.now();
-        if now >= deadline {
-            return Err(NetError::Timeout);
+    /// The wake a turn gives itself when nothing was delivered: a parked
+    /// registration to re-offer, or a rejoin deadline that already passed.
+    /// `None` while a queued driver message is serviceable — the burst
+    /// serves it first.
+    fn own_wake(&mut self) -> Option<NetResult<Envelope>> {
+        if self.jobs.iter().any(Job::serviceable) {
+            return None;
         }
-        self.shared.endpoint.recv_timeout(deadline - now)
+        if let Some(envelope) = self.next_held() {
+            return Some(Ok(envelope));
+        }
+        (self.rejoin_wait() == Some(Duration::ZERO)).then_some(Err(NetError::Timeout))
+    }
+
+    /// What the controller needs after a turn: another turn while it has
+    /// work of its own ([`own_wake`](Self::own_wake) or a serviceable
+    /// request), else a receive bounded by the earliest rejoin deadline.
+    fn next(&self) -> Next {
+        if !self.running {
+            return Next::Exit;
+        }
+        let held = !self.held.is_empty() && !self.jobs.iter().any(Job::recovering);
+        let wait = self.rejoin_wait();
+        if held || self.jobs.iter().any(Job::serviceable) || wait == Some(Duration::ZERO) {
+            Next::Run
+        } else {
+            Next::Wait(wait)
+        }
+    }
+
+    /// Time left until the earliest rejoin deadline (zero once it passed),
+    /// or `None` with no worker inside its grace window.
+    fn rejoin_wait(&self) -> Option<Duration> {
+        let deadline = self.rejoin_deadlines.iter().map(|(_, d)| *d).min()?;
+        Some(deadline.saturating_duration_since(self.config.clock.now()))
     }
 
     /// Flushes the cork, then has every job uncount what could not be

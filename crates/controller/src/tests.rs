@@ -30,22 +30,15 @@ const BLOCK: &str = "block";
 
 type Sent = Vec<(NodeId, Message)>;
 
-/// The scripted endpoint: an inbox the test fills one envelope at a time and
-/// a record of every message the controller sent. A blocking receive on an
-/// empty inbox reports the fabric closed (or, with a timeout, the timeout),
-/// so a turn never blocks. (Channels rather than a `VecDeque` and a `Vec`
-/// only because an endpoint must be `Send`; no thread is ever spawned.)
+/// The scripted endpoint: a record of every message the controller sent.
+/// Each test hands its envelopes straight to [`Controller::turn`], so a
+/// blocking receive is a broken contract: a turn never blocks. (A channel
+/// rather than a `Vec` only because an endpoint must be `Send`; no thread is
+/// ever spawned.)
 struct Script {
-    inbox: mpsc::Receiver<Envelope>,
     sent: mpsc::Sender<(NodeId, Message)>,
     /// Bit `w` set: sends to worker `w` fail, as a dropped connection's would.
     dead: Arc<AtomicU64>,
-}
-
-impl Script {
-    fn pop(&self, empty: NetError) -> NetResult<Envelope> {
-        self.inbox.try_recv().map_err(|_| empty)
-    }
 }
 
 impl TransportEndpoint for Script {
@@ -67,15 +60,15 @@ impl TransportEndpoint for Script {
     }
 
     fn recv(&self) -> NetResult<Envelope> {
-        self.pop(NetError::Disconnected("script ended".into()))
+        panic!("a turn never blocks")
     }
 
     fn recv_timeout(&self, _: Duration) -> NetResult<Envelope> {
-        self.pop(NetError::Timeout)
+        panic!("a turn never blocks")
     }
 
     fn try_recv(&self) -> NetResult<Envelope> {
-        self.pop(NetError::Empty)
+        Err(NetError::Empty)
     }
 
     fn pending(&self) -> usize {
@@ -130,7 +123,6 @@ fn is_load(kind: &CommandKind) -> bool {
 /// A controller with one open session (`NodeId::Driver`).
 struct Rig {
     controller: Controller,
-    inbox: mpsc::Sender<Envelope>,
     sent: mpsc::Receiver<(NodeId, Message)>,
     dead: Arc<AtomicU64>,
     clock: Arc<VirtualClock>,
@@ -143,17 +135,14 @@ impl Rig {
         let mut config = ControllerConfig::new((0..workers).map(WorkerId).collect());
         config.clock = clock;
         configure(&mut config);
-        let (inbox, script_inbox) = mpsc::channel();
         let (script_sent, sent) = mpsc::channel();
         let dead = Arc::new(AtomicU64::new(0));
         let script = Script {
-            inbox: script_inbox,
             sent: script_sent,
             dead: Arc::clone(&dead),
         };
         let mut rig = Self {
             controller: Controller::new(config, script),
-            inbox,
             sent,
             dead,
             clock: handle,
@@ -166,21 +155,25 @@ impl Rig {
         rig
     }
 
-    /// Runs one controller turn and returns what it sent.
-    fn turn(&mut self) -> Sent {
-        self.controller.turn();
+    /// Runs one controller turn on `wake` and returns what it sent.
+    fn turn_on(&mut self, wake: Option<NetResult<Envelope>>) -> Sent {
+        self.controller.turn(wake);
         self.sent.try_iter().collect()
     }
 
-    /// Delivers one envelope and runs the turn that handles it.
+    /// Runs one controller turn with nothing delivered.
+    fn turn(&mut self) -> Sent {
+        self.turn_on(None)
+    }
+
+    /// Runs the turn that handles one delivered envelope.
     fn deliver(&mut self, from: NodeId, message: Message) -> Sent {
         let envelope = Envelope {
             from,
             to: NodeId::Controller,
             message,
         };
-        self.inbox.send(envelope).expect("the controller is alive");
-        self.turn()
+        self.turn_on(Some(Ok(envelope)))
     }
 
     fn driver(&mut self, msg: DriverMessage) -> Sent {

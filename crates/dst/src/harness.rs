@@ -1,35 +1,39 @@
-//! The simulated cluster: real controller / worker / driver threads on the
-//! in-process fabric, with every delivery, timeout, and fault driven from a
-//! [`SchedulePlan`] by the harness thread.
+//! The simulated cluster: the real controller and workers as step
+//! functions turned on the harness thread, the real driver sessions on
+//! threads of their own, and every delivery, timeout, and fault driven from
+//! a [`SchedulePlan`].
 //!
-//! The harness acts only at **quiescence** — when every live node thread is
-//! parked inside the scheduler's delivery hook — so each step wakes exactly
-//! one node, which runs until it parks again. That makes the whole execution
-//! a deterministic function of the plan: the event trace, the job outputs,
-//! and the controller's statistics all replay bit-for-bit.
+//! Between decisions every node is parked: the controller and each worker
+//! returned a wait from its last turn, and each driver thread reported the
+//! wait of its blocking receive and sleeps until woken. A decision wakes
+//! exactly one node — the harness turns a controller or worker until it
+//! names its next wait, or wakes a driver and waits for its next report —
+//! so the whole execution is a deterministic function of the plan: the
+//! event trace, the job outputs, and the controller's statistics all replay
+//! bit-for-bit.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use nimbus_controller::{Controller, ControllerConfig};
-use nimbus_core::clock::Clock;
+use nimbus_core::clock::{Clock, VirtualClock};
 use nimbus_core::ids::WorkerId;
 use nimbus_core::ControlPlaneStats;
 use nimbus_driver::Session;
-use nimbus_net::{DeliveryHook, HookWake, LatencyModel, Network, NodeId};
+use nimbus_net::{Envelope, NetError, NetResult, Next, NodeId};
 use nimbus_runtime::quickstart::quickstart_setup;
 use nimbus_worker::{
     DataFactoryRegistry, FunctionRegistry, ObjectVault, Worker, WorkerConfig, WorkerStats,
 };
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::plan::{FaultEvent, FaultKind, SchedulePlan};
 use crate::scenario::Scenario;
-use crate::scheduler::{NodeState, SimScheduler};
+use crate::scheduler::{quantize_ms, DriverPark, Fabric, SimEndpoint, View};
 use crate::trace::{SimOutcome, SimTrace, TraceEvent};
 
 /// Decision budget: a livelock guard far above any legitimate run (the
@@ -44,6 +48,11 @@ const MAX_VIRTUAL_NANOS: u64 = 300 * 1_000_000_000;
 /// messages are deliverable — the race between timeouts and traffic.
 const TIMER_RACE_NUM: u64 = 1; // numerator of 1/10
 
+/// How long a woken driver thread may run before its next report, after
+/// which the harness declares the simulation wedged (wall-clock watchdog; a
+/// correct driver blocks again quickly since task work is synthetic).
+const WEDGE_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// One job's fetched totals, or the driver error string that ended it (a
 /// dropped job, or a job the controller failed over a worker death without
 /// a usable checkpoint).
@@ -53,7 +62,7 @@ pub type DriverOutput = Result<Vec<f64>, String>;
 pub struct SimReport {
     /// Per-job driver outputs, indexed by client id - 1.
     pub outputs: Vec<DriverOutput>,
-    /// Controller statistics (`None` if the controller thread panicked).
+    /// Controller statistics (`None` only if the controller never stopped).
     pub controller: Option<ControlPlaneStats>,
     /// Per-worker statistics, killed workers included.
     pub workers: Vec<WorkerStats>,
@@ -69,27 +78,31 @@ pub fn run_plan(scenario: &Scenario, plan: &SchedulePlan) -> SimReport {
     SimCluster::launch(scenario, plan).run()
 }
 
-struct SimWorkerSlot {
-    id: WorkerId,
-    kill: Arc<AtomicBool>,
-    handle: Option<JoinHandle<WorkerStats>>,
-}
-
 /// A running simulated cluster (see the module docs).
 pub struct SimCluster {
     scenario: Scenario,
     plan: SchedulePlan,
-    scheduler: Arc<SimScheduler>,
+    fabric: Arc<Mutex<Fabric>>,
     /// The shared virtual clock, handed to every node (controller, workers,
     /// drivers) so no simulated component ever reads wall time.
     clock: Clock,
-    network: Network,
-    controller: Option<JoinHandle<ControlPlaneStats>>,
-    workers: Vec<SimWorkerSlot>,
+    vclock: Arc<VirtualClock>,
+    controller: Option<Controller>,
+    controller_stats: Option<ControlPlaneStats>,
+    /// Live workers.
+    workers: BTreeMap<WorkerId, Worker>,
+    /// Final statistics of workers that stopped without being killed.
+    finished: BTreeMap<WorkerId, WorkerStats>,
+    /// Statistics of killed incarnations, in kill order.
     reaped: Vec<WorkerStats>,
     drivers: Vec<Option<JoinHandle<DriverOutput>>>,
     outputs: Vec<Option<DriverOutput>>,
     terminator: Option<JoinHandle<()>>,
+    /// Each driver thread's wake channel.
+    wakes: BTreeMap<NodeId, mpsc::Sender<NetResult<Envelope>>>,
+    /// Where driver threads report a wait or their exit.
+    reports: mpsc::Receiver<(NodeId, Next)>,
+    report_to: mpsc::Sender<(NodeId, Next)>,
     functions: Arc<FunctionRegistry>,
     factories: Arc<DataFactoryRegistry>,
     vault: Arc<ObjectVault>,
@@ -99,115 +112,194 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Builds the cluster and spawns every node thread. Nodes immediately
-    /// run until they park in the scheduler; no decision is taken yet.
+    /// Builds the cluster and starts every node: each runs until it parks in
+    /// its first wait; no decision is taken yet.
     pub fn launch(scenario: &Scenario, plan: &SchedulePlan) -> Self {
         let (clock, vclock) = Clock::virtual_clock();
-        let scheduler = Arc::new(SimScheduler::new(vclock));
-        let network = Network::new(LatencyModel::None);
-        network.install_delivery_hook(Arc::clone(&scheduler) as Arc<dyn DeliveryHook>);
-
         let (functions, factories) = quickstart_setup().into_shared();
-        let vault = Arc::new(ObjectVault::new());
-
+        let (report_to, reports) = mpsc::channel();
         let mut cluster = Self {
             scenario: scenario.clone(),
             plan: plan.clone(),
-            scheduler,
+            fabric: Arc::default(),
             clock: clock.clone(),
-            network,
+            vclock,
             controller: None,
-            workers: Vec::new(),
+            controller_stats: None,
+            workers: BTreeMap::new(),
+            finished: BTreeMap::new(),
             reaped: Vec::new(),
             drivers: Vec::new(),
             outputs: (0..scenario.jobs).map(|_| None).collect(),
             terminator: None,
+            wakes: BTreeMap::new(),
+            reports,
+            report_to,
             functions,
             factories,
-            vault,
+            vault: Arc::new(ObjectVault::new()),
             rng: StdRng::seed_from_u64(plan.seed),
             fault_cursor: 0,
             chaotic_effective: BTreeSet::new(),
         };
 
-        // Register EVERY endpoint before spawning ANY thread. On the real
-        // in-process fabric a worker's hello may race the controller's
-        // registration and get dropped as `UnknownNode` — a benign race in
-        // production, but a nondeterministic one. With all destinations
-        // registered up front, every startup send lands in the scheduler's
-        // link queues and the whole startup is replayable.
+        // Register EVERY node before starting ANY: on the real in-process
+        // fabric a worker's hello may race the controller's registration and
+        // get dropped as `UnknownNode` — a benign race in production, but a
+        // nondeterministic one. With all destinations registered up front,
+        // every startup send lands in a link queue and the whole startup is
+        // replayable.
         let worker_ids: Vec<WorkerId> = (0..scenario.workers).map(WorkerId).collect();
-        let worker_endpoints: Vec<_> = worker_ids
-            .iter()
-            .map(|id| {
-                cluster.scheduler.add_node(NodeId::Worker(*id));
-                cluster.network.register(NodeId::Worker(*id))
-            })
-            .collect();
-        cluster.scheduler.add_node(NodeId::Controller);
-        let controller_endpoint = cluster.network.register(NodeId::Controller);
-        let client_endpoints: Vec<_> = (1..=scenario.jobs)
-            .map(|client| {
-                cluster.scheduler.add_node(NodeId::Client(client));
-                cluster.network.register(NodeId::Client(client))
-            })
-            .collect();
+        {
+            let mut fabric = cluster.fabric.lock();
+            for id in &worker_ids {
+                fabric.add_node(NodeId::Worker(*id));
+            }
+            fabric.add_node(NodeId::Controller);
+            for client in 1..=scenario.jobs {
+                fabric.add_node(NodeId::Client(client));
+            }
+        }
 
-        for (id, endpoint) in worker_ids.iter().zip(worker_endpoints) {
-            let slot = cluster.spawn_worker(*id, endpoint);
-            cluster.workers.push(slot);
+        for id in &worker_ids {
+            cluster.start_worker(*id);
         }
 
         let mut config = ControllerConfig::new(worker_ids);
         config.checkpoint_every = scenario.checkpoint_every;
         config.rejoin_grace = scenario.rejoin_grace;
         config.clock = clock;
-        let controller = Controller::new(config, controller_endpoint);
-        cluster.controller = Some(
-            std::thread::Builder::new()
-                .name("sim-controller".into())
-                .spawn(move || controller.run())
-                .expect("spawn controller"),
-        );
+        let endpoint = cluster.endpoint(NodeId::Controller, None);
+        cluster.controller = Some(Controller::new(config, endpoint));
+        cluster.turn(NodeId::Controller, None);
 
-        for (client, endpoint) in (1..=scenario.jobs).zip(client_endpoints) {
+        for client in 1..=scenario.jobs {
             let scenario = scenario.clone();
             let clock = cluster.clock.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("sim-driver-{client}"))
-                .spawn(move || -> Result<Vec<f64>, String> {
-                    let mut session =
-                        Session::connect_with_clock(endpoint, clock).map_err(|e| e.to_string())?;
-                    let totals = scenario.drive(&mut session).map_err(|e| e.to_string())?;
-                    session.close().map_err(|e| e.to_string())?;
-                    Ok(totals)
-                })
-                .expect("spawn driver");
+            let handle = cluster.spawn_driver(NodeId::Client(client), move |endpoint| {
+                let mut session =
+                    Session::connect_with_clock(endpoint, clock).map_err(|e| e.to_string())?;
+                let totals = scenario.drive(&mut session).map_err(|e| e.to_string())?;
+                session.close().map_err(|e| e.to_string())?;
+                Ok(totals)
+            });
             cluster.drivers.push(Some(handle));
         }
         cluster
     }
 
-    fn spawn_worker(&self, id: WorkerId, endpoint: nimbus_net::Endpoint) -> SimWorkerSlot {
-        let kill = Arc::new(AtomicBool::new(false));
+    fn endpoint(&self, node: NodeId, park: Option<DriverPark>) -> SimEndpoint {
+        SimEndpoint::new(node, Arc::clone(&self.fabric), park)
+    }
+
+    /// Starts a worker (fresh, or a rejoining incarnation of a killed one):
+    /// its hello, then the turn that names its first wait.
+    fn start_worker(&mut self, id: WorkerId) {
         let mut config = WorkerConfig::new(
             id,
             Arc::clone(&self.functions),
             Arc::clone(&self.factories),
             Arc::clone(&self.vault),
         );
-        config.kill_switch = Some(Arc::clone(&kill));
         config.clock = self.clock.clone();
-        let worker = Worker::new(config, endpoint);
+        let worker = Worker::new(config, self.endpoint(NodeId::Worker(id), None));
+        worker.register();
+        self.workers.insert(id, worker);
+        self.turn(NodeId::Worker(id), None);
+    }
+
+    /// Spawns a driver session's thread and waits for it to park.
+    fn spawn_driver<R: Send + 'static>(
+        &mut self,
+        node: NodeId,
+        body: impl FnOnce(SimEndpoint) -> R + Send + 'static,
+    ) -> JoinHandle<R> {
+        let (wake_to, wake) = mpsc::channel();
+        self.wakes.insert(node, wake_to);
+        let park = DriverPark {
+            report: self.report_to.clone(),
+            wake,
+        };
+        let endpoint = self.endpoint(node, Some(park));
         let handle = std::thread::Builder::new()
-            .name(format!("sim-worker-{id}"))
-            .spawn(move || worker.run())
-            .expect("spawn worker");
-        SimWorkerSlot {
-            id,
-            kill,
-            handle: Some(handle),
+            .name(format!("sim-{node}"))
+            .spawn(move || body(endpoint))
+            .expect("spawn driver");
+        self.await_driver(node);
+        handle
+    }
+
+    /// Wakes a parked node: a controller or worker is turned until it waits
+    /// again, a driver thread is woken and awaited.
+    fn wake(&mut self, node: NodeId, wake: NetResult<Envelope>) {
+        match self.wakes.get(&node) {
+            Some(wake_to) => {
+                let _ = wake_to.send(wake);
+                self.await_driver(node);
+            }
+            None => self.turn(node, Some(wake)),
         }
+    }
+
+    /// Turns the controller or a worker until it names a wait or stops.
+    fn turn(&mut self, node: NodeId, mut wake: Option<NetResult<Envelope>>) {
+        let next = loop {
+            let next = match node {
+                NodeId::Controller => self.controller.as_mut().map(|c| c.turn(wake.take())),
+                NodeId::Worker(w) => self.workers.get_mut(&w).map(|w| w.turn(wake.take())),
+                _ => None,
+            };
+            match next.expect("only a live controller or worker is turned") {
+                Next::Run => continue,
+                next => break next,
+            }
+        };
+        if next == Next::Exit {
+            match node {
+                NodeId::Controller => {
+                    self.controller_stats = self.controller.take().map(Controller::finish);
+                }
+                NodeId::Worker(w) => {
+                    if let Some(worker) = self.workers.remove(&w) {
+                        self.finished.insert(w, worker.finish());
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.settle(node, next);
+    }
+
+    /// Waits for the one running driver thread to report a wait or its exit.
+    fn await_driver(&mut self, node: NodeId) {
+        let (from, next) = self
+            .reports
+            .recv_timeout(WEDGE_TIMEOUT)
+            .unwrap_or_else(|_| {
+                panic!("simulation wedged: {node} ran {WEDGE_TIMEOUT:?} without blocking")
+            });
+        debug_assert_eq!(from, node, "only the woken driver runs");
+        self.settle(node, next);
+    }
+
+    /// Records where a node stopped running: parked (until a virtual
+    /// deadline, if its wait named one) or exited.
+    fn settle(&mut self, node: NodeId, next: Next) {
+        match next {
+            Next::Wait(timeout) => {
+                let deadline = timeout.map(|t| self.vclock.now() + quantize_ms(t));
+                self.fabric.lock().park(node, deadline);
+            }
+            Next::Exit | Next::Run => self.fabric.lock().exit(node),
+        }
+    }
+
+    /// Abrupt death: the worker vanishes without a final report, like a
+    /// killed process. Returns its statistics.
+    fn kill(&mut self, w: WorkerId) -> Option<WorkerStats> {
+        let stats = self.workers.remove(&w)?.stats().clone();
+        self.fabric.lock().exit(NodeId::Worker(w));
+        Some(stats)
     }
 
     /// Steps the simulation to its end and assembles the report.
@@ -217,26 +309,20 @@ impl SimCluster {
             self.force_teardown();
         }
         self.harvest_drivers();
-        let (events, decisions) = self
-            .scheduler
-            .with_state(|st| (st.take_events(), st.decisions()));
+        let (events, decisions) = {
+            let mut fabric = self.fabric.lock();
+            (fabric.take_events(), fabric.decisions())
+        };
         let trace = SimTrace {
             scenario: self.scenario.name.to_string(),
             plan_description: self.plan.describe(),
             outcome,
             events,
             decisions,
-            virtual_nanos: self.scheduler.clock.elapsed_nanos(),
+            virtual_nanos: self.vclock.elapsed_nanos(),
         };
-        let controller = self.controller.take().and_then(|h| h.join().ok());
         let mut workers = std::mem::take(&mut self.reaped);
-        for slot in &mut self.workers {
-            if let Some(handle) = slot.handle.take() {
-                if let Ok(stats) = handle.join() {
-                    workers.push(stats);
-                }
-            }
-        }
+        workers.extend(std::mem::take(&mut self.finished).into_values());
         if let Some(t) = self.terminator.take() {
             let _ = t.join();
         }
@@ -249,7 +335,7 @@ impl SimCluster {
                         .unwrap_or_else(|| Err("driver never joined".into()))
                 })
                 .collect(),
-            controller,
+            controller: self.controller_stats.take(),
             workers,
             trace,
             chaotic_effective: std::mem::take(&mut self.chaotic_effective),
@@ -258,24 +344,20 @@ impl SimCluster {
 
     fn step_to_completion(&mut self) -> SimOutcome {
         loop {
-            self.scheduler.wait_quiescence();
-
-            if self.scheduler.with_state(|st| st.all_exited()) {
-                return SimOutcome::Completed;
-            }
-
-            // Drop undeliverable traffic and unstick severed sleepers; both
+            // Drop undeliverable traffic and end severed nodes' waits; both
             // are bookkeeping, not decisions.
-            let scheduler = Arc::clone(&self.scheduler);
-            let resumed = self.scheduler.with_state(|st| {
-                st.purge_dead_destinations();
-                let stuck = st.severed_blocked();
-                for node in &stuck {
-                    scheduler.grant_locked(st, *node, HookWake::Disconnected);
+            let stuck = {
+                let mut fabric = self.fabric.lock();
+                if fabric.all_exited() {
+                    return SimOutcome::Completed;
                 }
-                !stuck.is_empty()
-            });
-            if resumed {
+                fabric.purge_dead_destinations();
+                fabric.parked(true)
+            };
+            if !stuck.is_empty() {
+                for node in stuck {
+                    self.wake(node, Err(NetError::Disconnected(node.to_string())));
+                }
                 continue;
             }
 
@@ -293,37 +375,34 @@ impl SimCluster {
                 continue;
             }
 
-            let view = self.scheduler.with_state(|st| st.quiescent_view());
+            let view = self.fabric.lock().view();
 
             // A worker still alive after the controller exited can never
             // hear another message once nothing is in flight (its register
             // and every reply path need a controller). Without this, its
-            // idle step timer grinds virtual time all the way to the cap.
+            // idle timer grinds virtual time all the way to the cap.
             // Masked links may still hold deliverable traffic whose mask
             // expires as timer decisions pass, so those runs keep stepping.
             if view.eligible.is_empty()
-                && self.scheduler.node_state(NodeId::Controller) == Some(NodeState::Exited)
-                && !self.scheduler.with_state(|st| st.masked_traffic_pending())
+                && self.controller.is_none()
+                && !self.workers.is_empty()
+                && !self.fabric.lock().masked_traffic_pending()
             {
-                let mut drained = false;
-                for slot in &self.workers {
-                    let node = NodeId::Worker(slot.id);
-                    if slot.handle.is_some()
-                        && self.scheduler.node_state(node) != Some(NodeState::Exited)
-                    {
-                        slot.kill.store(true, Ordering::Relaxed);
-                        self.scheduler.with_state(|st| {
-                            st.push_event(TraceEvent::Unstick { node });
-                            if st.is_blocked(node) {
-                                scheduler.grant_locked(st, node, HookWake::TimedOut);
-                            }
+                let live: Vec<WorkerId> = self.workers.keys().copied().collect();
+                {
+                    let mut fabric = self.fabric.lock();
+                    for w in &live {
+                        fabric.push_event(TraceEvent::Unstick {
+                            node: NodeId::Worker(*w),
                         });
-                        drained = true;
                     }
                 }
-                if drained {
-                    continue;
+                for w in live {
+                    if let Some(stats) = self.kill(w) {
+                        self.finished.insert(w, stats);
+                    }
                 }
+                continue;
             }
 
             if view.eligible.is_empty() && view.earliest_timer.is_none() {
@@ -344,9 +423,7 @@ impl SimCluster {
             }
 
             let decisions = self.decide(&view);
-            if decisions >= MAX_DECISIONS
-                || self.scheduler.clock.elapsed_nanos() >= MAX_VIRTUAL_NANOS
-            {
+            if decisions >= MAX_DECISIONS || self.vclock.elapsed_nanos() >= MAX_VIRTUAL_NANOS {
                 return SimOutcome::Stalled;
             }
         }
@@ -354,8 +431,8 @@ impl SimCluster {
 
     /// Takes one scheduler decision (the only place virtual time advances
     /// and messages get delivered). Returns the new decision count.
-    fn decide(&mut self, view: &crate::scheduler::Quiescent) -> u64 {
-        let decision = self.scheduler.with_state(|st| st.decisions());
+    fn decide(&mut self, view: &View) -> u64 {
+        let decision = self.fabric.lock().decisions();
         let chaotic = self.plan.is_chaotic(decision);
         // Two raw draws per decision, unconditionally, so the stream stays
         // aligned no matter which decisions the shrinker calms.
@@ -380,186 +457,128 @@ impl SimCluster {
             self.chaotic_effective.insert(decision);
         }
 
-        let scheduler = Arc::clone(&self.scheduler);
-        if pick_timer {
+        let (node, wake) = if pick_timer {
             let (deadline, node) = view.earliest_timer.expect("checked above");
-            self.scheduler.clock.advance_to(deadline);
-            let virtual_nanos = self.scheduler.clock.elapsed_nanos();
-            self.scheduler.with_state(|st| {
-                st.push_event(TraceEvent::TimerFired {
-                    node,
-                    virtual_nanos,
-                });
-                scheduler.grant_locked(st, node, HookWake::TimedOut);
-                st.bump_decisions();
-                st.decisions()
-            })
+            self.vclock.advance_to(deadline);
+            let virtual_nanos = self.vclock.elapsed_nanos();
+            let mut fabric = self.fabric.lock();
+            fabric.push_event(TraceEvent::TimerFired {
+                node,
+                virtual_nanos,
+            });
+            fabric.bump_decisions();
+            (node, Some(Err(NetError::Timeout)))
         } else {
             let link = view.eligible[if chaotic { index } else { 0 }];
-            let envelope = self
-                .scheduler
-                .with_state(|st| st.pop_link(link))
-                .expect("eligible link was empty");
+            let mut fabric = self.fabric.lock();
+            let envelope = fabric.pop_link(link).expect("eligible link was empty");
             let (from, to) = (envelope.from, envelope.to);
             let tag = envelope.message.tag().as_str();
-            let delivered = self.network.deliver_now(envelope);
-            self.scheduler.with_state(|st| {
-                if delivered {
-                    st.push_event(TraceEvent::Deliver { from, to, tag });
-                    scheduler.grant_locked(st, to, HookWake::Delivered);
-                } else {
-                    st.push_event(TraceEvent::DroppedDeadDestination { from, to, tag });
-                }
-                st.bump_decisions();
-                st.decisions()
-            })
+            let delivered = fabric.is_registered(to);
+            fabric.push_event(if delivered {
+                TraceEvent::Deliver { from, to, tag }
+            } else {
+                TraceEvent::DroppedDeadDestination { from, to, tag }
+            });
+            fabric.bump_decisions();
+            (to, delivered.then_some(Ok(envelope)))
+        };
+        if let Some(wake) = wake {
+            self.wake(node, wake);
         }
+        self.fabric.lock().decisions()
     }
 
     fn next_due_fault(&mut self) -> Option<FaultEvent> {
-        let due = self
+        let decisions = self.fabric.lock().decisions();
+        let fault = self
             .plan
             .faults
             .get(self.fault_cursor)
-            .is_some_and(|f| f.at <= self.scheduler.with_state(|st| st.decisions()));
-        if due {
-            let fault = self.plan.faults[self.fault_cursor].clone();
-            self.fault_cursor += 1;
-            Some(fault)
-        } else {
-            None
-        }
+            .filter(|f| f.at <= decisions)
+            .cloned()?;
+        self.fault_cursor += 1;
+        Some(fault)
     }
 
     fn apply_fault(&mut self, fault: FaultEvent) {
-        let scheduler = Arc::clone(&self.scheduler);
         match fault.kind {
             FaultKind::Kill(w) => {
                 let node = NodeId::Worker(w);
-                let Some(i) = self.workers.iter().position(|s| s.id == w) else {
-                    self.skip_fault(fault);
-                    return;
-                };
-                let alive = self.workers[i].handle.is_some()
-                    && self.scheduler.node_state(node) != Some(NodeState::Exited);
-                if !alive {
-                    self.skip_fault(fault);
-                    return;
+                if !self.workers.contains_key(&w) {
+                    return self.skip_fault(fault);
                 }
-                // Switch first, then wake: the worker's next step observes
-                // the flipped switch and dies without a goodbye. Severing
-                // drops anything it manages to send in between, so the death
-                // is externally instantaneous.
-                self.workers[i].kill.store(true, Ordering::Relaxed);
-                self.scheduler.with_state(|st| {
-                    st.push_event(TraceEvent::Fault(fault.clone()));
-                    scheduler.sever_locked(st, node);
-                    if st.is_blocked(node) {
-                        scheduler.grant_locked(st, node, HookWake::TimedOut);
-                    }
-                });
-                self.scheduler.wait_exited(node);
-                let handle = self.workers[i].handle.take().expect("checked alive");
-                let stats = handle.join().expect("killed worker panicked");
-                self.reaped.push(stats);
-                // Outside the scheduler lock: disconnect synthesizes the
-                // PeerDisconnected notices through the hook, which queues
-                // them on the dead worker's links — after its in-flight
-                // sends, exactly like a FIN behind buffered TCP data.
-                self.network.disconnect(node);
+                // Severed first, so the death is externally instantaneous.
+                {
+                    let mut fabric = self.fabric.lock();
+                    fabric.push_event(TraceEvent::Fault(fault.clone()));
+                    fabric.sever(node);
+                }
+                if let Some(stats) = self.kill(w) {
+                    self.reaped.push(stats);
+                }
+                // The peers' disconnect notices queue on the dead worker's
+                // links — after its in-flight sends, exactly like a FIN
+                // behind buffered TCP data.
+                self.fabric.lock().disconnect(node);
             }
             FaultKind::Rejoin(w) => {
                 let node = NodeId::Worker(w);
-                let Some(i) = self.workers.iter().position(|s| s.id == w) else {
-                    self.skip_fault(fault);
-                    return;
-                };
-                // A rejoin into a cluster whose controller has already shut
-                // down would orphan the new worker: nothing can ever message
-                // it again, and its idle step timer would grind virtual time
-                // to the cap. Treat it like any other impossible fault.
-                let cluster_down =
-                    self.scheduler.node_state(NodeId::Controller) == Some(NodeState::Exited);
-                if self.workers[i].handle.is_some() || cluster_down {
-                    self.skip_fault(fault);
-                    return;
+                // Only a killed worker rejoins. A rejoin into a cluster whose
+                // controller has already shut down would orphan the new
+                // worker: nothing can ever message it again, and its idle
+                // timer would grind virtual time to the cap. Treat it like
+                // any other impossible fault.
+                let killed = w.raw() < self.scenario.workers
+                    && !self.workers.contains_key(&w)
+                    && !self.finished.contains_key(&w);
+                if !killed || self.controller.is_none() {
+                    return self.skip_fault(fault);
                 }
-                self.scheduler.with_state(|st| {
+                {
+                    let mut fabric = self.fabric.lock();
                     // Anything still queued for the dead incarnation belongs
                     // to a socket that no longer exists.
-                    st.purge_links_to(node);
-                    st.push_event(TraceEvent::Fault(fault.clone()));
-                });
-                self.scheduler.reset_node(node);
-                let slot = self.spawn_worker_rejoin(w);
-                self.workers[i] = slot;
+                    fabric.purge_links_to(node);
+                    fabric.push_event(TraceEvent::Fault(fault.clone()));
+                    fabric.add_node(node);
+                }
+                self.start_worker(w);
             }
             FaultKind::DropJob(c) => {
                 let node = NodeId::Client(c);
-                let alive = matches!(
-                    self.scheduler.node_state(node),
-                    Some(NodeState::Running | NodeState::Blocked)
-                );
-                if !alive {
-                    self.skip_fault(fault);
-                    return;
+                if !self.fabric.lock().live(node) {
+                    return self.skip_fault(fault);
                 }
-                self.scheduler.with_state(|st| {
-                    st.push_event(TraceEvent::Fault(fault.clone()));
-                    scheduler.sever_locked(st, node);
-                    if st.is_blocked(node) {
-                        scheduler.grant_locked(st, node, HookWake::Disconnected);
-                    }
-                });
-                self.network.disconnect(node);
+                {
+                    let mut fabric = self.fabric.lock();
+                    fabric.push_event(TraceEvent::Fault(fault.clone()));
+                    fabric.sever(node);
+                    fabric.disconnect(node);
+                }
+                self.wake(node, Err(NetError::Disconnected(node.to_string())));
             }
             FaultKind::DelayLink {
                 from,
                 to,
                 decisions,
             } => {
-                self.scheduler.with_state(|st| {
-                    st.push_event(TraceEvent::Fault(fault.clone()));
-                    st.mask_link((from, to), u64::from(decisions));
-                });
+                let mut fabric = self.fabric.lock();
+                fabric.push_event(TraceEvent::Fault(fault.clone()));
+                fabric.mask_link((from, to), u64::from(decisions));
             }
         }
     }
 
-    /// Respawns a previously killed worker under its old identity, like
-    /// [`SimCluster::spawn_worker`] but without re-adding the scheduler slot
-    /// (it was reset in place).
-    fn spawn_worker_rejoin(&self, id: WorkerId) -> SimWorkerSlot {
-        let kill = Arc::new(AtomicBool::new(false));
-        let mut config = WorkerConfig::new(
-            id,
-            Arc::clone(&self.functions),
-            Arc::clone(&self.factories),
-            Arc::clone(&self.vault),
-        );
-        config.kill_switch = Some(Arc::clone(&kill));
-        config.clock = self.clock.clone();
-        let endpoint = self.network.register(NodeId::Worker(id));
-        let worker = Worker::new(config, endpoint);
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-worker-{id}-rejoin"))
-            .spawn(move || worker.run())
-            .expect("spawn rejoined worker");
-        SimWorkerSlot {
-            id,
-            kill,
-            handle: Some(handle),
-        }
-    }
-
     fn skip_fault(&self, fault: FaultEvent) {
-        self.scheduler
-            .with_state(|st| st.push_event(TraceEvent::FaultSkipped(fault)));
+        self.fabric
+            .lock()
+            .push_event(TraceEvent::FaultSkipped(fault));
     }
 
     fn scenario_drivers_exited(&self) -> bool {
-        (1..=self.scenario.jobs)
-            .all(|c| self.scheduler.node_state(NodeId::Client(c)) == Some(NodeState::Exited))
+        let fabric = self.fabric.lock();
+        (1..=self.scenario.jobs).all(|c| fabric.exited(NodeId::Client(c)))
     }
 
     fn harvest_drivers(&mut self) {
@@ -578,51 +597,45 @@ impl SimCluster {
     /// `Cluster::shutdown_and_join`).
     fn spawn_terminator(&mut self) {
         let node = NodeId::Client(self.scenario.jobs + 1);
-        self.scheduler.add_node(node);
-        let endpoint = self.network.register(node);
+        self.fabric.lock().add_node(node);
         let clock = self.clock.clone();
-        self.terminator = Some(
-            std::thread::Builder::new()
-                .name("sim-terminator".into())
-                .spawn(move || {
-                    // Implicit session (no open_job handshake): one less
-                    // reply to race against the reply timeout. Retry a few
-                    // times — an adversarial schedule can fire the timeout
-                    // before the controller's confirmation arrives, and a
-                    // terminator that gives up strands the whole cluster.
-                    let mut session = Session::new(endpoint);
-                    session.set_clock(clock);
-                    session.set_reply_timeout(Duration::from_secs(10));
-                    for _ in 0..4 {
-                        if session.shutdown().is_ok() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn terminator"),
-        );
+        let handle = self.spawn_driver(node, move |endpoint| {
+            // Implicit session (no open_job handshake): one less reply to
+            // race against the reply timeout. Retry a few times — an
+            // adversarial schedule can fire the timeout before the
+            // controller's confirmation arrives, and a terminator that gives
+            // up strands the whole cluster.
+            let mut session = Session::new(endpoint);
+            session.set_clock(clock);
+            session.set_reply_timeout(Duration::from_secs(10));
+            for _ in 0..4 {
+                if session.shutdown().is_ok() {
+                    break;
+                }
+            }
+        });
+        self.terminator = Some(handle);
     }
 
-    /// After a deadlock or stall verdict: force every surviving node out
-    /// with disconnect grants so threads can be joined. The `Unstick` events
-    /// mark the trace as abnormal.
+    /// After a deadlock or stall verdict: end every surviving node's wait
+    /// with a disconnect so everything stops and threads can be joined. The
+    /// `Unstick` events mark the trace as abnormal.
     fn force_teardown(&mut self) {
-        let scheduler = Arc::clone(&self.scheduler);
         for _ in 0..10_000 {
-            self.scheduler.wait_quiescence();
-            let done = self.scheduler.with_state(|st| {
-                st.purge_dead_destinations();
-                if st.all_exited() {
-                    return true;
+            let parked = {
+                let mut fabric = self.fabric.lock();
+                fabric.purge_dead_destinations();
+                if fabric.all_exited() {
+                    return;
                 }
-                for node in st.blocked_nodes() {
-                    st.push_event(TraceEvent::Unstick { node });
-                    scheduler.grant_locked(st, node, HookWake::Disconnected);
+                let parked = fabric.parked(false);
+                for node in &parked {
+                    fabric.push_event(TraceEvent::Unstick { node: *node });
                 }
-                false
-            });
-            if done {
-                return;
+                parked
+            };
+            for node in parked {
+                self.wake(node, Err(NetError::Disconnected(node.to_string())));
             }
         }
         panic!("simulation teardown failed to converge");

@@ -27,8 +27,8 @@ pub struct FaultEvent {
 /// The fault vocabulary of the simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Kill a worker abruptly: flip its kill switch, let its thread die
-    /// without a goodbye, and sever it from the fabric (every peer gets the
+    /// Kill a worker abruptly: drop it without a goodbye or a final report,
+    /// and sever it from the fabric (every peer gets the
     /// same `PeerDisconnected` notice a dead TCP peer produces, scheduled
     /// like any other message).
     Kill(WorkerId),

@@ -1,86 +1,70 @@
-//! The seeded simulation scheduler: owner of every delivery, timeout, and
-//! clock advance in a simulated cluster.
+//! The simulated fabric: owner of every message in flight, and the
+//! [`SimEndpoint`] each simulated node sends through.
 //!
-//! Nodes stay ordinary threads running unmodified controller / worker /
-//! driver code, but the [`DeliveryHook`] installed on the in-process
-//! [`Network`] funnels all their nondeterminism here:
+//! Nothing is delivered behind the harness's back:
 //!
-//! * every send parks its envelope in a per-link FIFO instead of the
-//!   destination inbox;
-//! * every blocking receive that finds an empty inbox parks its *thread* in
-//!   [`SimScheduler::on_empty_recv`] until the scheduler grants an outcome;
-//! * timeouts are virtual — the scheduler fires one by advancing the shared
-//!   [`VirtualClock`] and granting `TimedOut`, never by letting wall time
-//!   pass.
+//! * every send parks its envelope in a per-link FIFO; the harness later
+//!   picks a link and hands the head envelope to its destination's turn;
+//! * a receive never finds anything: `try_recv` is always empty, the
+//!   controller and workers never call a blocking receive (a turn never
+//!   blocks), and a driver's blocking receive reports its wait to the
+//!   harness and sleeps until the harness wakes it;
+//! * timeouts are virtual — the harness fires one by advancing the shared
+//!   [`VirtualClock`](nimbus_core::clock::VirtualClock), never by letting
+//!   wall time pass.
 //!
-//! The harness only takes decisions at **quiescence** — when every live node
-//! is parked — so exactly one node runs between decisions and the execution
-//! is logically single-threaded: same plan in, same event trace out.
+//! The fabric keeps the in-process network's registration semantics, which
+//! the traces depend on: a send to an unregistered node fails with
+//! [`NetError::UnknownNode`] (untraced), an exited node stays registered
+//! until it is disconnected, and a disconnect queues one `PeerDisconnected`
+//! notice per registered peer.
 //!
 //! Per-link FIFO is preserved (both real fabrics guarantee it); everything
-//! across links is up to the scheduler, which is exactly the reordering
+//! across links is up to the harness, which is exactly the reordering
 //! freedom a real network has.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use nimbus_core::clock::VirtualClock;
-use nimbus_net::{DeliveryHook, Envelope, HookWake, Message, NetResult, NodeId};
-use parking_lot::{Condvar, Mutex};
+use nimbus_net::{
+    Envelope, Message, NetError, NetResult, Next, NodeId, TransportEndpoint, TransportEvent,
+};
+use parking_lot::Mutex;
 
 use crate::trace::TraceEvent;
 
-/// How long a simulated node may run between decisions before the harness
-/// declares the simulation wedged (wall-clock watchdog; a correct node under
-/// test always blocks again quickly since task work is synthetic).
-const WEDGE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Rounds a timeout to the nearest whole millisecond (see the deadline
-/// comment in `on_empty_recv`).
-fn quantize_ms(t: Duration) -> Duration {
+/// Rounds a timeout to the nearest whole millisecond. Some callers derive
+/// their timeout by subtracting clock readings, and sub-millisecond jitter
+/// in that arithmetic must not leak into virtual deadlines (it would make
+/// timer order run-dependent). Every intentional timeout in the workspace
+/// is a whole number of milliseconds.
+pub(crate) fn quantize_ms(t: Duration) -> Duration {
     let nanos = u64::try_from(t.as_nanos()).unwrap_or(u64::MAX);
     Duration::from_millis((nanos + 500_000) / 1_000_000)
 }
 
-/// Where a node's thread currently stands, as the scheduler sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeState {
-    /// The thread is executing (or has been granted a wake and will be).
-    Running,
-    /// The thread is parked in [`SimScheduler::on_empty_recv`].
-    Blocked,
-    /// The thread dropped its endpoint (exited).
-    Exited,
-}
+/// A directed link between two nodes.
+pub(crate) type LinkKey = (NodeId, NodeId);
 
+/// One node as the harness sees it between decisions: parked in a wait, or
+/// gone.
+#[derive(Default)]
 struct NodeSlot {
-    state: NodeState,
-    /// Virtual deadline of the receive the node is blocked in, if it gave one.
+    /// The node stopped (clean exit, kill, or teardown).
+    exited: bool,
+    /// Virtual deadline of the wait the node is parked in, if it named one.
     deadline: Option<Instant>,
-    /// Wake grant slot, filled by the scheduler, consumed by the node.
-    wake: Option<HookWake>,
-    /// Severed from the fabric: its non-transport sends are dropped and its
-    /// blocked receives get `Disconnected` grants.
+    /// Severed from the fabric: its non-transport sends are dropped, nothing
+    /// is delivered to it, and its wait is ended with a disconnect.
     severed: bool,
 }
 
-impl NodeSlot {
-    fn fresh() -> Self {
-        Self {
-            state: NodeState::Running,
-            deadline: None,
-            wake: None,
-            severed: false,
-        }
-    }
-}
-
-/// A directed link between two nodes.
-pub type LinkKey = (NodeId, NodeId);
-
-pub(crate) struct SchedState {
+/// The fabric state shared by the harness and every [`SimEndpoint`].
+#[derive(Default)]
+pub(crate) struct Fabric {
     nodes: BTreeMap<NodeId, NodeSlot>,
+    registered: BTreeSet<NodeId>,
     /// Per-link FIFO queues of undelivered messages.
     links: BTreeMap<LinkKey, VecDeque<Envelope>>,
     /// Held links: messages stay queued for this many more decisions.
@@ -89,127 +73,84 @@ pub(crate) struct SchedState {
     decisions: u64,
 }
 
-/// What the harness sees when it inspects a quiescent cluster.
-pub(crate) struct Quiescent {
+/// The fabric as the harness decides from it between decisions.
+pub(crate) struct View {
     /// Links with at least one deliverable (unmasked) message, sorted.
     pub eligible: Vec<LinkKey>,
     /// The earliest armed virtual timeout, if any: `(deadline, node)`.
     pub earliest_timer: Option<(Instant, NodeId)>,
-    /// Whether any node is still alive (blocked).
+    /// Whether any node is still alive.
     pub any_live: bool,
 }
 
-/// The seeded scheduler shared between the harness and every hooked endpoint.
-pub struct SimScheduler {
-    state: Mutex<SchedState>,
-    cv: Condvar,
-    /// The virtual clock all simulated timeouts are measured on (shared with
-    /// the controller via its `ControllerConfig::clock`).
-    pub clock: Arc<VirtualClock>,
-}
+impl Fabric {
+    /// Adds a fresh node (parked, unsevered) and registers it, replacing
+    /// what a previous incarnation left behind.
+    pub(crate) fn add_node(&mut self, node: NodeId) {
+        self.nodes.insert(node, NodeSlot::default());
+        self.registered.insert(node);
+    }
 
-impl SimScheduler {
-    /// Creates a scheduler with a fresh virtual clock.
-    pub fn new(clock: Arc<VirtualClock>) -> Self {
-        Self {
-            state: Mutex::new(SchedState {
-                nodes: BTreeMap::new(),
-                links: BTreeMap::new(),
-                masks: BTreeMap::new(),
-                events: Vec::new(),
-                decisions: 0,
-            }),
-            cv: Condvar::new(),
-            clock,
+    /// Sends `message` from `from` to `to`: the in-process network's rules,
+    /// with the link FIFO standing in for the destination inbox.
+    fn send(&mut self, from: NodeId, to: NodeId, message: Message) -> NetResult<()> {
+        if !self.registered.contains(&to) {
+            return Err(NetError::UnknownNode(to.to_string()));
+        }
+        // Transport events are fabric-synthesized (disconnect notices), never
+        // sent by the severed node itself — they must get through or no peer
+        // would ever observe the death.
+        let severed = self.nodes.get(&from).is_some_and(|s| s.severed);
+        if severed && !matches!(message, Message::Transport(_)) {
+            self.events.push(TraceEvent::DroppedFromSevered {
+                from,
+                to,
+                tag: message.tag().as_str(),
+            });
+            return Ok(());
+        }
+        self.links
+            .entry((from, to))
+            .or_default()
+            .push_back(Envelope { from, to, message });
+        Ok(())
+    }
+
+    /// Severs `node` from the fabric the way a killed process severs a TCP
+    /// peer: it is unregistered, and every registered node gets a
+    /// `PeerDisconnected` notice queued behind the node's in-flight sends —
+    /// exactly like a FIN behind buffered TCP data.
+    pub(crate) fn disconnect(&mut self, node: NodeId) {
+        self.registered.remove(&node);
+        let peers: Vec<NodeId> = self.registered.iter().copied().collect();
+        for peer in peers {
+            let notice = Message::Transport(TransportEvent::PeerDisconnected(node));
+            let _ = self.send(node, peer, notice);
         }
     }
 
-    /// Registers a node with the scheduler (state `Running`). Must happen
-    /// before the node's endpoint is registered on the network, so its very
-    /// first send is accounted.
-    pub fn add_node(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        st.nodes.insert(node, NodeSlot::fresh());
-    }
-
-    /// Resets a node slot for a rejoin: alive again, unsevered.
-    pub(crate) fn reset_node(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        st.nodes.insert(node, NodeSlot::fresh());
-    }
-
-    /// Current state of a node (`None` if never added).
-    pub fn node_state(&self, node: NodeId) -> Option<NodeState> {
-        self.state.lock().nodes.get(&node).map(|s| s.state)
-    }
-
-    /// Blocks until no node is `Running` (every live node parked in a
-    /// receive, every other node exited).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node runs for more than the wedge timeout without
-    /// blocking — a real livelock in the code under test.
-    pub fn wait_quiescence(&self) {
-        let mut st = self.state.lock();
-        loop {
-            if st.nodes.values().all(|s| s.state != NodeState::Running) {
-                return;
-            }
-            if self.cv.wait_for(&mut st, WEDGE_TIMEOUT).timed_out() {
-                let running: Vec<NodeId> = st
-                    .nodes
-                    .iter()
-                    .filter(|(_, s)| s.state == NodeState::Running)
-                    .map(|(n, _)| *n)
-                    .collect();
-                panic!("simulation wedged: {running:?} ran {WEDGE_TIMEOUT:?} without blocking");
-            }
-        }
-    }
-
-    /// Blocks until `node` has exited (used by the kill fault, which must
-    /// observe the death before synthesizing disconnect notices).
-    pub(crate) fn wait_exited(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        loop {
-            match st.nodes.get(&node) {
-                None => return,
-                Some(s) if s.state == NodeState::Exited => return,
-                Some(_) => {}
-            }
-            if self.cv.wait_for(&mut st, WEDGE_TIMEOUT).timed_out() {
-                panic!("killed node {node} failed to exit within {WEDGE_TIMEOUT:?}");
-            }
-        }
-    }
-
-    /// Runs `f` with the locked scheduler state. Internal harness plumbing.
-    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut SchedState) -> R) -> R {
-        let mut st = self.state.lock();
-        f(&mut st)
-    }
-
-    /// Grants `wake` to a parked node and marks it running. Caller must hold
-    /// the state via [`SimScheduler::with_state`].
-    pub(crate) fn grant_locked(&self, st: &mut SchedState, node: NodeId, wake: HookWake) {
-        let slot = st.nodes.get_mut(&node).expect("grant to unknown node");
-        debug_assert_eq!(slot.state, NodeState::Blocked, "grant to unparked {node}");
-        slot.wake = Some(wake);
-        slot.state = NodeState::Running;
-        slot.deadline = None;
-        self.cv.notify_all();
-    }
-
-    /// Marks a node severed. Caller holds the state.
-    pub(crate) fn sever_locked(&self, st: &mut SchedState, node: NodeId) {
-        if let Some(slot) = st.nodes.get_mut(&node) {
+    pub(crate) fn sever(&mut self, node: NodeId) {
+        if let Some(slot) = self.nodes.get_mut(&node) {
             slot.severed = true;
         }
     }
-}
 
-impl SchedState {
+    /// Records that `node` parked, until `deadline` if its wait named one.
+    pub(crate) fn park(&mut self, node: NodeId, deadline: Option<Instant>) {
+        if let Some(slot) = self.nodes.get_mut(&node) {
+            slot.deadline = deadline;
+        }
+    }
+
+    /// Records that `node` stopped.
+    pub(crate) fn exit(&mut self, node: NodeId) {
+        if let Some(slot) = self.nodes.get_mut(&node) {
+            slot.exited = true;
+            slot.deadline = None;
+        }
+        self.events.push(TraceEvent::NodeExited { node });
+    }
+
     pub(crate) fn decisions(&self) -> u64 {
         self.decisions
     }
@@ -243,33 +184,30 @@ impl SchedState {
             .any(|k| self.links.get(k).is_some_and(|q| !q.is_empty()))
     }
 
-    pub(crate) fn node_state(&self, node: NodeId) -> Option<NodeState> {
-        self.nodes.get(&node).map(|s| s.state)
+    pub(crate) fn is_registered(&self, node: NodeId) -> bool {
+        self.registered.contains(&node)
     }
 
-    pub(crate) fn is_blocked(&self, node: NodeId) -> bool {
-        self.node_state(node) == Some(NodeState::Blocked)
+    /// True once `node` was added and has stopped.
+    pub(crate) fn exited(&self, node: NodeId) -> bool {
+        self.nodes.get(&node).is_some_and(|s| s.exited)
+    }
+
+    /// True while `node` was added and has not stopped.
+    pub(crate) fn live(&self, node: NodeId) -> bool {
+        self.nodes.get(&node).is_some_and(|s| !s.exited)
     }
 
     pub(crate) fn all_exited(&self) -> bool {
-        self.nodes.values().all(|s| s.state == NodeState::Exited)
+        self.nodes.values().all(|s| s.exited)
     }
 
-    /// Blocked-and-severed nodes that need a `Disconnected` grant to get
-    /// unstuck (their next receive can never be satisfied).
-    pub(crate) fn severed_blocked(&self) -> Vec<NodeId> {
+    /// Live nodes, optionally only the severed ones (whose wait can never be
+    /// satisfied and must be ended with a disconnect).
+    pub(crate) fn parked(&self, severed_only: bool) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|(_, s)| s.state == NodeState::Blocked && s.severed)
-            .map(|(n, _)| *n)
-            .collect()
-    }
-
-    /// All blocked nodes (the teardown path unsticks every one).
-    pub(crate) fn blocked_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|(_, s)| s.state == NodeState::Blocked)
+            .filter(|(_, s)| !s.exited && (s.severed || !severed_only))
             .map(|(n, _)| *n)
             .collect()
     }
@@ -277,41 +215,26 @@ impl SchedState {
     /// Drops every queued message addressed to an exited node (packets in
     /// flight to a dead process), tracing each drop.
     pub(crate) fn purge_dead_destinations(&mut self) {
-        let dead: Vec<LinkKey> = self
-            .links
+        let dead: Vec<NodeId> = self
+            .nodes
             .iter()
-            .filter(|((_, to), q)| {
-                !q.is_empty() && self.nodes.get(to).map(|s| s.state) == Some(NodeState::Exited)
-            })
-            .map(|(k, _)| *k)
+            .filter(|(_, s)| s.exited)
+            .map(|(n, _)| *n)
             .collect();
-        for key in dead {
-            if let Some(q) = self.links.get_mut(&key) {
-                for env in q.drain(..) {
-                    self.events.push(TraceEvent::DroppedDeadDestination {
-                        from: env.from,
-                        to: env.to,
-                        tag: env.message.tag().as_str(),
-                    });
-                }
-            }
-        }
+        self.purge(|to| dead.contains(&to));
     }
 
-    /// Drops every queued message on links from or to `node` (used when a
-    /// node is severed: nothing queued for it can arrive, and — for
-    /// in-flight messages *to* it — nothing can be delivered to a dead
-    /// process).
+    /// Drops every queued message addressed to `node` (used when a killed
+    /// node rejoins: anything still queued for the dead incarnation belongs
+    /// to a socket that no longer exists).
     pub(crate) fn purge_links_to(&mut self, node: NodeId) {
-        let keys: Vec<LinkKey> = self
-            .links
-            .iter()
-            .filter(|((_, to), q)| *to == node && !q.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            if let Some(q) = self.links.get_mut(&key) {
-                for env in q.drain(..) {
+        self.purge(|to| to == node);
+    }
+
+    fn purge(&mut self, dead: impl Fn(NodeId) -> bool) {
+        for ((_, to), queue) in &mut self.links {
+            if dead(*to) {
+                for env in queue.drain(..) {
                     self.events.push(TraceEvent::DroppedDeadDestination {
                         from: env.from,
                         to: env.to,
@@ -327,101 +250,104 @@ impl SchedState {
         self.links.get_mut(&link).and_then(VecDeque::pop_front)
     }
 
-    /// The quiescent view the harness decides from.
-    pub(crate) fn quiescent_view(&self) -> Quiescent {
+    /// The view the harness decides from.
+    pub(crate) fn view(&self) -> View {
+        let reachable = |node: &NodeId| {
+            self.nodes
+                .get(node)
+                .is_some_and(|s| !s.exited && !s.severed)
+        };
+        // Exited destinations are purged before this view is built, and
+        // severed ones drain via their disconnect instead.
         let eligible: Vec<LinkKey> = self
             .links
             .iter()
-            .filter(|(key, q)| {
-                if q.is_empty() || self.masks.contains_key(*key) {
-                    return false;
-                }
-                // Destination must be parked, alive, and reachable; exited
-                // destinations are purged before this view is built, and
-                // severed ones drain via their disconnect grant instead.
-                self.nodes
-                    .get(&key.1)
-                    .is_some_and(|s| s.state == NodeState::Blocked && !s.severed)
-            })
+            .filter(|(key, q)| !q.is_empty() && !self.masks.contains_key(*key) && reachable(&key.1))
             .map(|(k, _)| *k)
             .collect();
         let earliest_timer = self
             .nodes
             .iter()
-            .filter_map(|(n, s)| match (s.state, s.deadline) {
-                (NodeState::Blocked, Some(d)) if !s.severed => Some((d, *n)),
-                _ => None,
-            })
+            .filter(|(n, _)| reachable(n))
+            .filter_map(|(n, s)| s.deadline.map(|d| (d, *n)))
             .min();
-        let any_live = self.nodes.values().any(|s| s.state != NodeState::Exited);
-        Quiescent {
+        View {
             eligible,
             earliest_timer,
-            any_live,
+            any_live: self.nodes.values().any(|s| !s.exited),
         }
     }
 }
 
-impl DeliveryHook for SimScheduler {
-    fn on_send(&self, envelope: Envelope) -> NetResult<()> {
-        let mut st = self.state.lock();
-        let severed = st
-            .nodes
-            .get(&envelope.from)
-            .map(|s| s.severed)
-            .unwrap_or(false);
-        // Transport events are fabric-synthesized (disconnect notices), never
-        // sent by the severed node's own thread — they must get through or
-        // no peer would ever observe the death.
-        if severed && !matches!(envelope.message, Message::Transport(_)) {
-            st.events.push(TraceEvent::DroppedFromSevered {
-                from: envelope.from,
-                to: envelope.to,
-                tag: envelope.message.tag().as_str(),
-            });
-            return Ok(());
-        }
-        st.links
-            .entry((envelope.from, envelope.to))
-            .or_default()
-            .push_back(envelope);
-        Ok(())
+/// How a driver thread parks: it reports its wait (or, on drop, its exit)
+/// to the harness and sleeps on its own channel until the harness wakes it.
+pub(crate) struct DriverPark {
+    pub report: mpsc::Sender<(NodeId, Next)>,
+    pub wake: mpsc::Receiver<NetResult<Envelope>>,
+}
+
+/// One simulated node's connection to the [`Fabric`].
+pub(crate) struct SimEndpoint {
+    node: NodeId,
+    fabric: Arc<Mutex<Fabric>>,
+    /// Drivers only: controller and worker turns never block.
+    park: Option<DriverPark>,
+}
+
+impl SimEndpoint {
+    pub(crate) fn new(node: NodeId, fabric: Arc<Mutex<Fabric>>, park: Option<DriverPark>) -> Self {
+        Self { node, fabric, park }
     }
 
-    fn on_empty_recv(&self, node: NodeId, timeout: Option<Duration>) -> HookWake {
-        let mut st = self.state.lock();
-        {
-            let slot = st
-                .nodes
-                .get_mut(&node)
-                .unwrap_or_else(|| panic!("unknown sim node {node} blocked"));
-            slot.state = NodeState::Blocked;
-            // Quantize to whole milliseconds: some callers derive their
-            // timeout by subtracting real `Instant::now()` readings, and the
-            // sub-millisecond wall jitter in that arithmetic must not leak
-            // into virtual deadlines (it would make timer order run-
-            // dependent). Every intentional timeout in the workspace is a
-            // whole number of milliseconds.
-            slot.deadline = timeout.map(|t| self.clock.now() + quantize_ms(t));
-        }
-        self.cv.notify_all();
-        loop {
-            if let Some(wake) = st.nodes.get_mut(&node).and_then(|s| s.wake.take()) {
-                // The scheduler already marked the node Running and cleared
-                // its deadline when granting.
-                return wake;
-            }
-            self.cv.wait(&mut st);
-        }
+    /// A driver's blocking receive: report the wait, then sleep until the
+    /// harness delivers, times the wait out, or disconnects the driver.
+    fn wait(&self, timeout: Option<Duration>) -> NetResult<Envelope> {
+        let Some(park) = &self.park else {
+            panic!(
+                "{} called a blocking receive: a turn never blocks",
+                self.node
+            );
+        };
+        let gone = || NetError::Disconnected(self.node.to_string());
+        park.report
+            .send((self.node, Next::Wait(timeout)))
+            .map_err(|_| gone())?;
+        park.wake.recv().unwrap_or_else(|_| Err(gone()))
+    }
+}
+
+impl TransportEndpoint for SimEndpoint {
+    fn node(&self) -> NodeId {
+        self.node
     }
 
-    fn on_node_exit(&self, node: NodeId) {
-        let mut st = self.state.lock();
-        if let Some(slot) = st.nodes.get_mut(&node) {
-            slot.state = NodeState::Exited;
-            slot.deadline = None;
+    fn send(&self, to: NodeId, message: Message) -> NetResult<()> {
+        self.fabric.lock().send(self.node, to, message)
+    }
+
+    fn recv(&self) -> NetResult<Envelope> {
+        self.wait(None)
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
+        self.wait(Some(timeout))
+    }
+
+    fn try_recv(&self) -> NetResult<Envelope> {
+        Err(NetError::Empty)
+    }
+
+    fn pending(&self) -> usize {
+        0
+    }
+}
+
+impl Drop for SimEndpoint {
+    fn drop(&mut self) {
+        // A driver's endpoint dropping is how the harness learns its thread
+        // is done (clean exit, error, or disconnect).
+        if let Some(park) = &self.park {
+            let _ = park.report.send((self.node, Next::Exit));
         }
-        st.events.push(TraceEvent::NodeExited { node });
-        self.cv.notify_all();
     }
 }

@@ -51,14 +51,14 @@ pub enum TraceEvent {
         /// The message's wire tag.
         tag: &'static str,
     },
-    /// A node's thread exited (clean shutdown or kill).
+    /// A node stopped (clean shutdown, kill, or teardown).
     NodeExited {
         /// The node that exited.
         node: NodeId,
     },
-    /// The scheduler unstuck a wedged node with a disconnect grant (only on
-    /// deadlock/stall teardown; its presence means the run did not complete
-    /// normally).
+    /// The harness forced a node out: a disconnect ending its wait on
+    /// deadlock/stall teardown (its presence means the run did not complete
+    /// normally), or a worker stopped because the controller is gone.
     Unstick {
         /// The node that was forced awake.
         node: NodeId,

@@ -7,11 +7,15 @@
 //! plain `cargo test` stays quick; CI sets it to at least 334 for a
 //! 1,000+ seed sweep). A failing seed is shrunk before reporting, and both
 //! the original and minimized traces are written under
-//! `target/dst-failures/` — the artifact CI uploads.
+//! `target/dst-failures/` — the artifact CI uploads. Each scenario prints
+//! one line — simulated runs (replays included), their total decisions, and
+//! wall time per seed — so the sweep's cost is on record in every log run
+//! with `--nocapture`.
 
 use std::fs;
 use std::path::PathBuf;
 
+use nimbus_core::Clock;
 use nimbus_dst::{run_plan, shrink, Scenario};
 
 /// Seeds per scenario: `NIMBUS_DST_SWEEP` or the local default.
@@ -40,9 +44,13 @@ fn seeded_sweep_holds_the_output_contract() {
     let per_scenario = seeds_per_scenario();
     let mut failures: Vec<String> = Vec::new();
     for scenario in Scenario::all() {
+        let start = Clock::Real.now();
+        let (mut runs, mut decisions) = (0u64, 0u64);
         for seed in 0..per_scenario {
             let plan = scenario.generate_plan(seed);
             let report = run_plan(&scenario, &plan);
+            runs += 1;
+            decisions += report.trace.decisions;
             if let Err(why) = scenario.validate(&plan, &report) {
                 let dir = failure_dir();
                 let _ = fs::write(
@@ -71,6 +79,8 @@ fn seeded_sweep_holds_the_output_contract() {
             }
             if seed % REPLAY_EVERY == 0 {
                 let again = run_plan(&scenario, &plan);
+                runs += 1;
+                decisions += again.trace.decisions;
                 if report.trace.fingerprint() != again.trace.fingerprint() {
                     failures.push(format!(
                         "{} seed {seed}: replay diverged\n  plan: {}",
@@ -80,6 +90,12 @@ fn seeded_sweep_holds_the_output_contract() {
                 }
             }
         }
+        let per_seed =
+            Clock::Real.now().saturating_duration_since(start) / per_scenario.max(1) as u32;
+        println!(
+            "dst sweep {}: {runs} runs, {decisions} decisions, {per_seed:?} per seed",
+            scenario.name
+        );
     }
     assert!(
         failures.is_empty(),

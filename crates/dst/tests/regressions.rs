@@ -188,6 +188,23 @@ fn kill_the_reduction_home_after_it_acks_an_instantiation() {
     assert_eq!(faults_applied(&report), 2, "kill or rejoin was skipped");
 }
 
+/// A 100-worker quickstart runs like the two-worker one: under the calm
+/// plan and generated fault plans every run validates to the exact closed
+/// form and replays bit-for-bit. With the controller and workers turned on
+/// the harness thread a decision wakes one node, not a herd of parked
+/// threads, so this costs about what the small cluster does.
+#[test]
+fn a_hundred_worker_quickstart_completes() {
+    let scenario = Scenario {
+        workers: 100,
+        ..Scenario::quickstart()
+    };
+    replay(&scenario, &SchedulePlan::calm(0, vec![]));
+    for seed in 0..3 {
+        replay(&scenario, &scenario.generate_plan(seed));
+    }
+}
+
 /// A plan that does not fail has nothing to shrink.
 #[test]
 fn shrink_declines_a_passing_plan() {

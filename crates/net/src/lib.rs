@@ -32,5 +32,5 @@ pub use payload::DataPayload;
 pub use stats::{NetworkStats, SharedNetworkStats};
 pub use tcp::{DialPolicy, TcpEndpoint, TcpFabric};
 pub use transport::{
-    DeliveryHook, Endpoint, HookWake, LatencyModel, NetError, NetResult, Network, TransportEndpoint,
+    Endpoint, LatencyModel, NetError, NetResult, Network, Next, TransportEndpoint,
 };

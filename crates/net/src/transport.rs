@@ -17,7 +17,7 @@
 //! in-process and across machines.
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -25,54 +25,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::message::{Envelope, Message, NodeId};
 use crate::stats::{NetworkStats, SharedNetworkStats};
-
-/// How a hooked blocking receive should proceed after the scheduler's
-/// decision (see [`DeliveryHook::on_empty_recv`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HookWake {
-    /// A message was placed in the inbox; retry the receive.
-    Delivered,
-    /// The receive's timeout fired (virtually); return [`NetError::Timeout`].
-    TimedOut,
-    /// The node was severed from the fabric; return
-    /// [`NetError::Disconnected`].
-    Disconnected,
-}
-
-/// Interception points that hand all in-process delivery nondeterminism to an
-/// external scheduler (the deterministic simulation harness in `nimbus-dst`).
-///
-/// When a hook is installed on a [`Network`]:
-///
-/// * every send is diverted to [`on_send`](DeliveryHook::on_send) instead of
-///   the destination inbox — the hook owns the message until it chooses to
-///   deliver it with [`Network::deliver_now`];
-/// * a blocking receive that finds its inbox empty parks in
-///   [`on_empty_recv`](DeliveryHook::on_empty_recv) until the scheduler
-///   grants it a wake reason, instead of blocking on the channel (so wall
-///   clocks and OS wakeup order never influence behavior);
-/// * dropping an endpoint reports
-///   [`on_node_exit`](DeliveryHook::on_node_exit), which is how the
-///   scheduler learns a node's thread has finished.
-///
-/// The hook must be installed before any hooked traffic flows; it cannot be
-/// removed. Latency models are ignored while a hook is installed — the
-/// scheduler owns time.
-pub trait DeliveryHook: Send + Sync + 'static {
-    /// A message was sent. The hook now owns its delivery; `Ok(())` means
-    /// "accepted" (possibly to be dropped later, e.g. for a severed sender).
-    fn on_send(&self, envelope: Envelope) -> NetResult<()>;
-
-    /// `node`'s blocking receive found an empty inbox. Blocks cooperatively
-    /// until the scheduler picks an outcome. `timeout` is the receive's
-    /// requested timeout (`None` for an untimed receive); the scheduler
-    /// interprets it in virtual time.
-    fn on_empty_recv(&self, node: NodeId, timeout: Option<Duration>) -> HookWake;
-
-    /// `node`'s endpoint was dropped (its thread exited or released the
-    /// fabric).
-    fn on_node_exit(&self, node: NodeId);
-}
 
 /// One node's connection to a message fabric.
 ///
@@ -126,6 +78,23 @@ pub trait TransportEndpoint: Send + 'static {
     /// driver) are untouched — dropping them would read as this node dying.
     /// Fabrics without connections (the in-process network) need nothing.
     fn reset_worker_peers(&self) {}
+}
+
+/// What a node asks of its run loop after one turn.
+///
+/// The controller and the worker are step functions: a turn takes the wake
+/// (`Some` envelope, timeout or disconnect from a blocking receive, or
+/// `None` when the node still had work queued), does a bounded burst of
+/// work, and never blocks. The run loop — or the deterministic simulation
+/// harness — does the one blocking receive the turn asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// Work is queued: turn again with no wake.
+    Run,
+    /// Block for the next envelope, up to the timeout if one is given.
+    Wait(Option<Duration>),
+    /// The node has stopped.
+    Exit,
 }
 
 /// Transport errors.
@@ -234,17 +203,9 @@ struct NetworkInner {
     stats: SharedNetworkStats,
     latency: LatencyModel,
     delay_queue: Arc<DelayQueue>,
-    /// The thread draining `delay_queue` under a real-time latency model;
-    /// joined on drop.
+    /// The thread draining `delay_queue` under a latency model; joined on
+    /// drop.
     delayer: Option<std::thread::JoinHandle<()>>,
-    /// Virtual-time latency: delayed deliveries drain synchronously in
-    /// `(due, seq)` order instead of waiting out wall-clock time on the
-    /// delayer thread. Ordering across senders is identical to the real
-    /// delayer's (a fixed delay preserves send order); only the waiting is
-    /// elided.
-    virtual_time: bool,
-    /// Simulation hook; set at most once, before traffic flows.
-    hook: OnceLock<Arc<dyn DeliveryHook>>,
 }
 
 /// The in-process message fabric connecting driver, controller, and workers.
@@ -262,20 +223,10 @@ impl Default for Network {
 impl Network {
     /// Creates a network with the given latency model.
     pub fn new(latency: LatencyModel) -> Self {
-        Self::build(latency, false)
-    }
-
-    /// Creates a network whose latency model runs on *virtual* time: delayed
-    /// deliveries keep their `(due, seq)` order but drain without consuming
-    /// wall-clock time, and no delayer thread is spawned. For tests that
-    /// care about latency-model *ordering*, not elapsed time.
-    pub fn new_virtual_time(latency: LatencyModel) -> Self {
-        Self::build(latency, true)
-    }
-
-    fn build(latency: LatencyModel, virtual_time: bool) -> Self {
         let delay_queue = Arc::new(DelayQueue::default());
-        let delayer = (latency.delay().is_some() && !virtual_time)
+        let delayer = latency
+            .delay()
+            .is_some()
             .then(|| start_delayer(Arc::clone(&delay_queue)));
         let inner = Arc::new(NetworkInner {
             senders: RwLock::new(HashMap::new()),
@@ -283,47 +234,8 @@ impl Network {
             latency,
             delay_queue,
             delayer,
-            virtual_time,
-            hook: OnceLock::new(),
         });
         Self { inner }
-    }
-
-    /// Installs a [`DeliveryHook`] that takes ownership of all delivery
-    /// nondeterminism. Must be called before any traffic flows; panics if a
-    /// hook is already installed.
-    pub fn install_delivery_hook(&self, hook: Arc<dyn DeliveryHook>) {
-        if self.inner.hook.set(hook).is_err() {
-            panic!("delivery hook already installed");
-        }
-    }
-
-    fn hook(&self) -> Option<&Arc<dyn DeliveryHook>> {
-        self.inner.hook.get()
-    }
-
-    /// Delivers an envelope straight into the destination inbox, bypassing
-    /// hook and latency. This is the delivery half of a [`DeliveryHook`]:
-    /// the scheduler calls it when it decides an intercepted message's turn
-    /// has come. Returns `false` if the destination is no longer registered
-    /// or its inbox was dropped (the message is discarded, exactly like a
-    /// packet in flight to a dead peer).
-    pub fn deliver_now(&self, envelope: Envelope) -> bool {
-        let sender = {
-            let senders = self.inner.senders.read();
-            senders.get(&envelope.to).cloned()
-        };
-        match sender {
-            Some(s) => s.send(envelope).is_ok(),
-            None => false,
-        }
-    }
-
-    /// The currently registered nodes, sorted. Scheduler convenience.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut ns: Vec<NodeId> = self.inner.senders.read().keys().copied().collect();
-        ns.sort_unstable();
-        ns
     }
 
     /// Registers a node and returns its endpoint. Re-registering a node
@@ -364,15 +276,7 @@ impl Network {
                 to: peer,
                 message: Message::Transport(crate::message::TransportEvent::PeerDisconnected(node)),
             };
-            // Under a simulation hook the disconnect notices are ordinary
-            // schedulable messages — the scheduler decides when each peer
-            // observes the death, which is exactly the race surface the
-            // harness explores.
-            if let Some(hook) = self.hook() {
-                let _ = hook.on_send(envelope);
-            } else {
-                let _ = sender.send(envelope);
-            }
+            let _ = sender.send(envelope);
         }
     }
 
@@ -394,10 +298,6 @@ impl Network {
             .stats
             .record(message.tag(), message.wire_size(), message.is_data());
         let envelope = Envelope { from, to, message };
-        if let Some(hook) = self.hook() {
-            // The scheduler owns delivery (and time) from here.
-            return hook.on_send(envelope);
-        }
         match self.inner.latency.delay() {
             None => sender
                 .send(envelope)
@@ -406,7 +306,6 @@ impl Network {
                 let mut state = self.inner.delay_queue.state.lock();
                 state.seq += 1;
                 let seq = state.seq;
-                // Under virtual time the heap is drained immediately below.
                 #[expect(clippy::disallowed_methods, reason = "real-time delivery due date")]
                 let due = Instant::now() + delay;
                 state.heap.push(Delayed {
@@ -415,16 +314,7 @@ impl Network {
                     envelope,
                     to: sender,
                 });
-                if self.inner.virtual_time {
-                    // Virtual time: everything queued is already "due".
-                    // Draining in heap order preserves the real delayer's
-                    // (due, seq) delivery order without the wall-clock wait.
-                    while let Some(d) = state.heap.pop() {
-                        let _ = d.to.send(d.envelope);
-                    }
-                } else {
-                    self.inner.delay_queue.cv.notify_one();
-                }
+                self.inner.delay_queue.cv.notify_one();
                 Ok(())
             }
         }
@@ -456,7 +346,7 @@ impl Network {
 }
 
 /// Spawns the thread that hands delayed envelopes to their inboxes once
-/// they fall due (real-time latency models only).
+/// they fall due.
 fn start_delayer(queue: Arc<DelayQueue>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("nimbus-net-delayer".to_string())
@@ -465,12 +355,7 @@ fn start_delayer(queue: Arc<DelayQueue>) -> std::thread::JoinHandle<()> {
             if state.shutdown {
                 return;
             }
-            // Virtual-time networks drain the queue inline, so the delayer
-            // thread only ever runs against real wall time.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "delayer thread is real-time only"
-            )]
+            #[expect(clippy::disallowed_methods, reason = "the delayer runs on real time")]
             let now = Instant::now();
             match state.heap.peek() {
                 Some(d) if d.due <= now => {
@@ -526,9 +411,6 @@ impl Endpoint {
 
     /// Blocking receive.
     pub fn recv(&self) -> NetResult<Envelope> {
-        if let Some(hook) = self.network.hook() {
-            return self.hooked_recv(hook, None);
-        }
         self.receiver
             .recv()
             .map_err(|_| NetError::Disconnected(self.node.to_string()))
@@ -536,36 +418,9 @@ impl Endpoint {
 
     /// Blocking receive with a timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> NetResult<Envelope> {
-        if let Some(hook) = self.network.hook() {
-            return self.hooked_recv(hook, Some(timeout));
-        }
         self.receiver
             .recv_timeout(timeout)
             .map_err(|_| NetError::Timeout)
-    }
-
-    /// Blocking receive under a simulation hook: park in the scheduler when
-    /// the inbox is empty and act on its grant. The loop re-checks the inbox
-    /// after every `Delivered` grant, so a delivery the scheduler pushed with
-    /// [`Network::deliver_now`] is picked up without touching the channel's
-    /// own blocking machinery.
-    fn hooked_recv(
-        &self,
-        hook: &Arc<dyn DeliveryHook>,
-        timeout: Option<Duration>,
-    ) -> NetResult<Envelope> {
-        loop {
-            if let Ok(envelope) = self.receiver.try_recv() {
-                return Ok(envelope);
-            }
-            match hook.on_empty_recv(self.node, timeout) {
-                HookWake::Delivered => continue,
-                HookWake::TimedOut => return Err(NetError::Timeout),
-                HookWake::Disconnected => {
-                    return Err(NetError::Disconnected(self.node.to_string()))
-                }
-            }
-        }
     }
 
     /// Number of messages waiting in the inbox.
@@ -576,16 +431,6 @@ impl Endpoint {
     /// The network this endpoint is attached to.
     pub fn network(&self) -> &Network {
         &self.network
-    }
-}
-
-impl Drop for Endpoint {
-    fn drop(&mut self) {
-        // Under a simulation hook, an endpoint dropping is how the scheduler
-        // learns the node's thread is done (clean exit or kill-switch death).
-        if let Some(hook) = self.network.hook() {
-            hook.on_node_exit(self.node);
-        }
     }
 }
 
@@ -720,16 +565,7 @@ mod tests {
 
     #[test]
     fn latency_preserves_ordering_per_sender() {
-        // Ordering-only property: run the latency model on virtual time so
-        // this test never sleeps real milliseconds (and cannot flake under
-        // load). `fixed_latency_delays_delivery` still covers the wall-clock
-        // behavior.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "asserts virtual time burns no real time"
-        )]
-        let start = Instant::now();
-        let net = Network::new_virtual_time(LatencyModel::Fixed(Duration::from_millis(5)));
+        let net = Network::new(LatencyModel::Fixed(Duration::from_millis(5)));
         let controller = net.register(NodeId::Controller);
         let driver = net.register(NodeId::Driver);
         for i in 0..10u64 {
@@ -752,93 +588,6 @@ mod tests {
             }
         }
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        // 10 messages x 5ms would be at least 5ms wall time if any wait were
-        // real; virtual time should deliver effectively instantly.
-        assert!(
-            start.elapsed() < Duration::from_millis(5),
-            "virtual-time latency consumed real time: {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn virtual_time_latency_spawns_no_delayer_thread() {
-        let net = Network::new_virtual_time(LatencyModel::Fixed(Duration::from_secs(30)));
-        let controller = net.register(NodeId::Controller);
-        let driver = net.register(NodeId::Driver);
-        driver
-            .send(NodeId::Controller, Message::driver0(DriverMessage::Barrier))
-            .unwrap();
-        // A 30s fixed delay delivers immediately under virtual time.
-        assert!(controller.try_recv().is_ok());
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "asserts drop does not block on real time"
-        )]
-        let start = Instant::now();
-        drop(driver);
-        drop(controller);
-        drop(net);
-        assert!(start.elapsed() < Duration::from_secs(1));
-    }
-
-    struct CapturingHook {
-        captured: Mutex<Vec<Envelope>>,
-        exits: Mutex<Vec<NodeId>>,
-    }
-
-    impl DeliveryHook for CapturingHook {
-        fn on_send(&self, envelope: Envelope) -> NetResult<()> {
-            self.captured.lock().push(envelope);
-            Ok(())
-        }
-        fn on_empty_recv(&self, _node: NodeId, _timeout: Option<Duration>) -> HookWake {
-            HookWake::TimedOut
-        }
-        fn on_node_exit(&self, node: NodeId) {
-            self.exits.lock().push(node);
-        }
-    }
-
-    #[test]
-    fn delivery_hook_intercepts_sends_and_recvs() {
-        let net = Network::new(LatencyModel::None);
-        let hook = Arc::new(CapturingHook {
-            captured: Mutex::new(Vec::new()),
-            exits: Mutex::new(Vec::new()),
-        });
-        net.install_delivery_hook(hook.clone());
-        let controller = net.register(NodeId::Controller);
-        let driver = net.register(NodeId::Driver);
-
-        driver
-            .send(NodeId::Controller, Message::driver0(DriverMessage::Barrier))
-            .unwrap();
-        // The message went to the hook, not the inbox.
-        assert_eq!(controller.pending(), 0);
-        assert_eq!(hook.captured.lock().len(), 1);
-
-        // An empty blocking receive consults the hook (which grants a
-        // virtual timeout here; no real waiting happens).
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "asserts the hook grant avoids real waits"
-        )]
-        let start = Instant::now();
-        assert!(matches!(
-            controller.recv_timeout(Duration::from_secs(60)),
-            Err(NetError::Timeout)
-        ));
-        assert!(start.elapsed() < Duration::from_secs(1));
-
-        // The scheduler can deliver a captured message directly.
-        let envelope = hook.captured.lock().pop().unwrap();
-        assert!(net.deliver_now(envelope));
-        assert!(controller.try_recv().is_ok());
-
-        // Dropping an endpoint reports the exit.
-        drop(driver);
-        assert_eq!(hook.exits.lock().as_slice(), &[NodeId::Driver]);
     }
 
     #[test]

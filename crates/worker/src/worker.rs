@@ -21,8 +21,8 @@ use nimbus_core::ids::{CommandId, JobId, WorkerId};
 use nimbus_core::template::cache::WorkerTemplateCache;
 use nimbus_core::{Command, CommandKind};
 use nimbus_net::{
-    ControllerToWorker, DataPayload, DataTransfer, Envelope, Message, NodeId, TransportEndpoint,
-    TransportEvent, WorkerToController,
+    ControllerToWorker, DataPayload, DataTransfer, Envelope, Message, NetError, NetResult, Next,
+    NodeId, TransportEndpoint, TransportEvent, WorkerToController,
 };
 
 use crate::data_store::{DataFactoryRegistry, DataStore};
@@ -77,6 +77,13 @@ impl WorkerConfig {
 
 /// Upper bound on retained drop tombstones (see `Worker::dropped_jobs`).
 const MAX_TOMBSTONES: usize = 65_536;
+
+/// How long an idle worker blocks for traffic before its next turn.
+const IDLE_WAIT: Duration = Duration::from_millis(5);
+
+/// How many ready commands one turn executes before it yields back to
+/// message processing.
+const EXEC_BURST: usize = 64;
 
 /// How many completions a job accumulates before the worker reports them to
 /// the controller in one `CommandsCompleted` (an idle worker flushes sooner).
@@ -195,14 +202,21 @@ impl Worker {
     }
 
     /// Runs until a `Shutdown` message arrives. Returns the final statistics.
-    ///
-    /// The first act of a running worker is to `Register` with the
-    /// controller: for workers of the initial allocation this is an
-    /// idempotent hello, while a restarted or late-added worker uses it to
-    /// open the rejoin handshake (the controller answers with
-    /// `RejoinAccepted`, reinstalls the worker's patched templates per job,
-    /// and migrates partitions to it through template edits).
     pub fn run(mut self) -> WorkerStats {
+        self.register();
+        while self.running {
+            self.step(IDLE_WAIT);
+        }
+        self.finish()
+    }
+
+    /// The first act of a running worker: `Register` with the controller.
+    /// For workers of the initial allocation this is an idempotent hello,
+    /// while a restarted or late-added worker uses it to open the rejoin
+    /// handshake (the controller answers with `RejoinAccepted`, reinstalls
+    /// the worker's patched templates per job, and migrates partitions to it
+    /// through template edits).
+    pub fn register(&self) {
         // Not routed through `send_to_controller`: on the in-process fabric
         // a worker thread may start before the controller registers its
         // endpoint, and that benign startup race must not count as a
@@ -212,22 +226,21 @@ impl Worker {
             NodeId::Controller,
             Message::FromWorker(WorkerToController::Register { worker: self.id }),
         );
-        while self.running {
-            self.step(Duration::from_millis(5));
+    }
+
+    /// Ends a stopped worker: the final completion flush, so the controller
+    /// sees everything — unless the kill switch stopped it, which vanishes
+    /// without a report like a killed process would.
+    pub fn finish(mut self) -> WorkerStats {
+        if !self.killed {
+            self.flush_all_completions(true);
         }
-        if self.killed {
-            // Abrupt death: vanish without a final report, like a killed
-            // process would.
-            return self.stats;
-        }
-        // Final flush so the controller sees everything.
-        self.flush_all_completions(true);
         self.stats
     }
 
-    /// Processes at most one blocking receive (bounded by `idle_wait`), then
-    /// drains any further queued messages and executes runnable commands.
-    /// Exposed for deterministic single-threaded tests.
+    /// Does at most one blocking receive (bounded by `idle_wait`, and only
+    /// when no command is ready), then one [`turn`](Self::turn). Exposed
+    /// for deterministic single-threaded tests.
     pub fn step(&mut self, idle_wait: Duration) {
         if let Some(kill) = &self.kill_switch {
             if kill.load(Ordering::Relaxed) {
@@ -236,15 +249,28 @@ impl Worker {
                 return;
             }
         }
-        if !self.jobs.iter().any(|j| j.queue.ready_len() > 0) {
-            match self.endpoint.recv_timeout(idle_wait) {
-                Ok(envelope) => self.handle(envelope),
-                Err(nimbus_net::NetError::Timeout) => {}
-                Err(_) => {
-                    self.running = false;
-                    return;
-                }
+        let wake = match self.next() {
+            Next::Wait(_) => Some(self.endpoint.recv_timeout(idle_wait)),
+            Next::Run | Next::Exit => None,
+        };
+        self.turn(wake);
+    }
+
+    /// One turn: handle the wake, drain whatever else already arrived, and
+    /// execute a bounded burst of ready commands. Never blocks: it returns
+    /// another turn while commands are ready, the idle wait once none is,
+    /// and `Exit` once stopped. With no wake and nothing ready it only names
+    /// its wait.
+    pub fn turn(&mut self, wake: Option<NetResult<Envelope>>) -> Next {
+        match wake {
+            Some(Ok(envelope)) => self.handle(envelope),
+            Some(Err(NetError::Timeout)) => {}
+            Some(Err(_)) => {
+                self.running = false;
+                return Next::Exit;
             }
+            None if !self.has_ready() => return self.next(),
+            None => {}
         }
         // Drain whatever else arrived without blocking.
         while let Ok(envelope) = self.endpoint.try_recv() {
@@ -254,7 +280,7 @@ impl Worker {
         // a shared worker advances every job — then yield back to message
         // processing so data transfers keep flowing.
         let mut executed = 0usize;
-        while executed < 64 {
+        while executed < EXEC_BURST {
             let Some((job_index, command)) = self.next_ready() else {
                 break;
             };
@@ -269,6 +295,22 @@ impl Worker {
         self.flush_data();
         let idle = self.jobs.iter().all(|j| j.queue.is_idle());
         self.flush_all_completions(idle);
+        self.next()
+    }
+
+    /// What the worker needs after a turn.
+    fn next(&self) -> Next {
+        if !self.running {
+            Next::Exit
+        } else if self.has_ready() {
+            Next::Run
+        } else {
+            Next::Wait(Some(IDLE_WAIT))
+        }
+    }
+
+    fn has_ready(&self) -> bool {
+        self.jobs.iter().any(|j| j.queue.ready_len() > 0)
     }
 
     /// Pops the next runnable command and the job it belongs to, continuing
@@ -634,10 +676,7 @@ mod tests {
         LogicalPartition::new(LogicalObjectId(o), PartitionIndex(p))
     }
 
-    fn setup() -> (Network, Endpoint, Worker) {
-        let net = Network::new(LatencyModel::None);
-        let controller = net.register(NodeId::Controller);
-        let endpoint = net.register(NodeId::Worker(WorkerId(0)));
+    fn config() -> WorkerConfig {
         let mut functions = FunctionRegistry::new();
         functions.register(FunctionId(1), "add_one", |ctx| {
             let v = ctx.write::<VecF64>(0)?;
@@ -649,13 +688,19 @@ mod tests {
         let mut factories = DataFactoryRegistry::new();
         factories.register(LogicalObjectId(1), Box::new(|_| Box::new(VecF64::zeros(3))));
         factories.register(LogicalObjectId(2), Box::new(|_| Box::new(Scalar::new(0.0))));
-        let config = WorkerConfig::new(
+        WorkerConfig::new(
             WorkerId(0),
             Arc::new(functions),
             Arc::new(factories),
             Arc::new(ObjectVault::new()),
-        );
-        let worker = Worker::new(config, endpoint);
+        )
+    }
+
+    fn setup() -> (Network, Endpoint, Worker) {
+        let net = Network::new(LatencyModel::None);
+        let controller = net.register(NodeId::Controller);
+        let endpoint = net.register(NodeId::Worker(WorkerId(0)));
+        let worker = Worker::new(config(), endpoint);
         (net, controller, worker)
     }
 
@@ -961,6 +1006,128 @@ mod tests {
         drive(&mut worker, 4);
         assert_eq!(worker.stats().template_instantiations, 1);
         assert_eq!(worker.stats().tasks_executed, 1);
+    }
+
+    /// An endpoint for turn-only tests: it records what the worker sends,
+    /// never has anything to receive, and panics on a blocking receive.
+    struct TurnOnly(std::sync::mpsc::Sender<Message>);
+
+    impl TransportEndpoint for TurnOnly {
+        fn node(&self) -> NodeId {
+            NodeId::Worker(WorkerId(0))
+        }
+
+        fn send(&self, _: NodeId, message: Message) -> NetResult<()> {
+            let _ = self.0.send(message);
+            Ok(())
+        }
+
+        fn recv(&self) -> NetResult<Envelope> {
+            panic!("a turn never blocks")
+        }
+
+        fn recv_timeout(&self, _: Duration) -> NetResult<Envelope> {
+            panic!("a turn never blocks")
+        }
+
+        fn try_recv(&self) -> NetResult<Envelope> {
+            Err(NetError::Empty)
+        }
+
+        fn pending(&self) -> usize {
+            0
+        }
+    }
+
+    /// Install, instantiate and completions driven through `turn` alone:
+    /// the worker asks to run again while ready commands remain beyond one
+    /// burst, names its idle wait once the queue is empty, and reports every
+    /// command of the instantiation complete.
+    #[test]
+    fn a_turn_never_blocks_and_names_its_wait() {
+        let (sent, record) = std::sync::mpsc::channel();
+        let mut worker = Worker::new(config(), TurnOnly(sent));
+        let deliver = |message| {
+            Some(Ok(Envelope {
+                from: NodeId::Controller,
+                to: NodeId::Worker(WorkerId(0)),
+                message,
+            }))
+        };
+        let idle = Next::Wait(Some(IDLE_WAIT));
+        assert_eq!(worker.turn(None), idle, "nothing to do names the wait");
+
+        // The template of `install_and_instantiate_template`, plus two
+        // bursts' worth of independent creates.
+        let mut entries = vec![
+            SkeletonEntry::new(SkeletonKind::CreateData {
+                object: PhysicalObjectId(10),
+                logical: lp(1, 0),
+            }),
+            SkeletonEntry::new(SkeletonKind::RunTask {
+                function: FunctionId(1),
+                task_slot: 0,
+            })
+            .with_writes(vec![PhysicalObjectId(10)])
+            .with_before(vec![0])
+            .with_param_slot(0),
+        ];
+        for i in 1..=2 * EXEC_BURST as u32 {
+            entries.push(SkeletonEntry::new(SkeletonKind::CreateData {
+                object: PhysicalObjectId(10 + u64::from(i)),
+                logical: lp(1, i),
+            }));
+        }
+        let total = entries.len() as u64;
+        let template =
+            WorkerTemplate::new(TemplateId(5), TemplateId(1), WorkerId(0), entries).unwrap();
+        let install = ControllerToWorker::InstallTemplate { job: JOB, template };
+        assert_eq!(worker.turn(deliver(Message::ToWorker(install))), idle);
+        assert_eq!(worker.stats().templates_installed, 1);
+
+        let instantiate = ControllerToWorker::InstantiateTemplate {
+            job: JOB,
+            inst: WorkerInstantiation {
+                template: TemplateId(5),
+                base_command_id: 100,
+                base_transfer_id: 0,
+                task_ids: vec![TaskId(1)],
+                params: vec![TaskParams::empty()],
+                edits: vec![],
+            },
+        };
+        let mut next = worker.turn(deliver(Message::ToWorker(instantiate)));
+        let mut turns = 1;
+        while worker.stats().commands_executed < total {
+            assert_eq!(next, Next::Run, "ready commands remain after turn {turns}");
+            next = worker.turn(None);
+            turns += 1;
+        }
+        assert_eq!(next, idle, "an empty queue names the idle wait");
+        assert_eq!(turns, total.div_ceil(EXEC_BURST as u64));
+        assert_eq!(worker.stats().template_instantiations, 1);
+        assert_eq!(worker.stats().tasks_executed, 1);
+
+        let mut completed: Vec<CommandId> = record
+            .try_iter()
+            .filter_map(|message| match message {
+                Message::FromWorker(WorkerToController::CommandsCompleted {
+                    job,
+                    commands,
+                    ..
+                }) => {
+                    assert_eq!(job, JOB);
+                    Some(commands)
+                }
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        completed.sort_unstable();
+        assert_eq!(
+            completed,
+            (100..100 + total).map(CommandId).collect::<Vec<_>>()
+        );
     }
 
     /// The sends of one burst leave as one batch per peer, in order, and
