@@ -1,8 +1,8 @@
-//! Partition-to-worker assignment policies.
+//! Partition-to-worker assignment.
 //!
 //! The paper deliberately does not study scheduling *policy* (Section 6);
-//! these are simple, pluggable policies that decide where a partition lives
-//! when it is first touched or when the worker allocation changes.
+//! this simple policy decides where a partition lives when it is first
+//! touched or when the worker allocation changes.
 
 use nimbus_core::ids::{LogicalPartition, WorkerId};
 
@@ -14,11 +14,6 @@ pub enum AssignmentPolicy {
     /// for the paper's workloads).
     #[default]
     Hash,
-    /// Strict round-robin over the worker list in first-touch order.
-    RoundRobin {
-        /// Next index into the worker list.
-        next: usize,
-    },
 }
 
 impl AssignmentPolicy {
@@ -27,17 +22,12 @@ impl AssignmentPolicy {
         AssignmentPolicy::Hash
     }
 
-    /// Creates a round-robin policy.
-    pub fn round_robin() -> Self {
-        AssignmentPolicy::RoundRobin { next: 0 }
-    }
-
     /// Picks a worker for a partition from the active worker list.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is empty; callers check allocation first.
-    pub fn assign(&mut self, lp: LogicalPartition, workers: &[WorkerId]) -> WorkerId {
+    pub fn assign(&self, lp: LogicalPartition, workers: &[WorkerId]) -> WorkerId {
         assert!(
             !workers.is_empty(),
             "assignment requires at least one worker"
@@ -45,11 +35,6 @@ impl AssignmentPolicy {
         match self {
             AssignmentPolicy::Hash => {
                 let idx = (lp.partition.raw() as usize) % workers.len();
-                workers[idx]
-            }
-            AssignmentPolicy::RoundRobin { next } => {
-                let idx = *next % workers.len();
-                *next = next.wrapping_add(1);
                 workers[idx]
             }
         }
@@ -71,7 +56,7 @@ mod tests {
 
     #[test]
     fn hash_policy_is_deterministic_and_balanced() {
-        let mut p = AssignmentPolicy::hash();
+        let p = AssignmentPolicy::hash();
         let ws = workers(4);
         assert_eq!(p.assign(lp(0), &ws), WorkerId(0));
         assert_eq!(p.assign(lp(5), &ws), WorkerId(1));
@@ -81,14 +66,6 @@ mod tests {
             counts[p.assign(lp(i), &ws).raw() as usize] += 1;
         }
         assert!(counts.iter().all(|c| *c == 25));
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut p = AssignmentPolicy::round_robin();
-        let ws = workers(3);
-        let picks: Vec<_> = (0..6).map(|i| p.assign(lp(i), &ws).raw()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use nimbus_net::{
     NetError, NetResult, Next, NodeId, TransportEndpoint, TransportEvent, WorkerToController,
 };
 
-use crate::assignment::AssignmentPolicy;
 use crate::error::{ControllerError, ControllerResult};
 use crate::job::{Job, Loss};
 
@@ -61,8 +60,6 @@ const CORK_MAX_BYTES: usize = 8 << 20;
 pub struct ControllerConfig {
     /// The initial worker allocation (shared by every job).
     pub workers: Vec<WorkerId>,
-    /// Partition assignment policy (each job gets its own instance).
-    pub policy: AssignmentPolicy,
     /// Whether execution templates are enabled for new jobs (disabled = pure
     /// centralized per-task scheduling, the Spark-like baseline).
     pub enable_templates: bool,
@@ -89,7 +86,6 @@ impl ControllerConfig {
     pub fn new(workers: Vec<WorkerId>) -> Self {
         Self {
             workers,
-            policy: AssignmentPolicy::hash(),
             enable_templates: true,
             checkpoint_every: None,
             rejoin_grace: None,

@@ -34,6 +34,7 @@ use nimbus_net::{
     ControllerToDriver, ControllerToWorker, DriverMessage, JobVersions, NodeId, PartitionVersion,
 };
 
+use crate::assignment::AssignmentPolicy;
 use crate::controller::{ControllerConfig, Shared};
 use crate::data_manager::DataManager;
 use crate::error::{ControllerError, ControllerResult};
@@ -238,13 +239,12 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    /// A new job with the controller's defaults (each job gets its own
-    /// instance of the assignment policy).
+    /// A new job with the controller's defaults.
     pub(crate) fn new(id: JobId, driver: NodeId, config: &ControllerConfig) -> Self {
         Self {
             id,
             driver,
-            dm: DataManager::new(config.policy.clone()),
+            dm: DataManager::new(AssignmentPolicy::hash()),
             bk: Bookkeeping::new(),
             ids: IdGens::new(),
             tm: TemplateManager::new(),

@@ -70,10 +70,6 @@ impl TransportEndpoint for Script {
     fn try_recv(&self) -> NetResult<Envelope> {
         Err(NetError::Empty)
     }
-
-    fn pending(&self) -> usize {
-        0 // Not something the controller asks.
-    }
 }
 
 fn lp(partition: u32) -> LogicalPartition {

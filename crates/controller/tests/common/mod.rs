@@ -25,7 +25,7 @@ use nimbus_core::ids::{
 use nimbus_core::lineage::LineageLog;
 use nimbus_core::task::TaskSpec;
 use nimbus_core::template::{
-    InstantiationParams, SkeletonKind, WorkerTemplate, WorkerTemplateGroup,
+    InstantiationParams, SkeletonKind, WorkerInstantiation, WorkerTemplate, WorkerTemplateGroup,
 };
 use nimbus_core::{AssignedCommand, Command, CommandKind, TaskParams};
 use nimbus_net::DataPayload;
@@ -206,6 +206,8 @@ pub struct Executed {
     pub patch_commands: usize,
     pub task_ids_sent: usize,
     pub commands: u64,
+    /// The instantiation messages' payloads, one per worker.
+    pub sent: Vec<(WorkerId, WorkerInstantiation)>,
 }
 
 /// Controller planning state plus the symbolic workers.
@@ -400,17 +402,17 @@ impl Fixture {
         let mut edits = 0;
         let mut task_ids_sent = 0;
         let mut expanded = 0u64;
-        for (worker, inst) in plan.per_worker {
+        for (worker, inst) in &plan.per_worker {
             edits += inst.edits.len();
             task_ids_sent += inst.task_ids.len();
             assert_eq!(inst.task_ids.len(), inst.params.len());
-            let template = self.sim.templates.get_mut(&worker).expect("installed");
+            let template = self.sim.templates.get_mut(worker).expect("installed");
             template
                 .apply_edits(&inst.edits)
                 .expect("edits apply on the worker");
-            let commands = template.instantiate(&inst).expect("instantiation succeeds");
+            let commands = template.instantiate(inst).expect("instantiation succeeds");
             expanded += commands.len() as u64;
-            self.sim.enqueue(worker, commands);
+            self.sim.enqueue(*worker, commands);
         }
         assert_eq!(expanded, plan.expected_commands);
         let mut ran = self.sim.drain(&expect);
@@ -425,6 +427,7 @@ impl Fixture {
             patch_commands,
             task_ids_sent,
             commands: self.sim.commands_executed - before,
+            sent: plan.per_worker,
         }
     }
 

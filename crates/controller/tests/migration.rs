@@ -8,7 +8,9 @@
 mod common;
 
 use common::{Fixture, Shape};
-use nimbus_core::ids::WorkerId;
+use nimbus_core::ids::{JobId, WorkerId};
+use nimbus_core::template::WorkerInstantiation;
+use nimbus_net::{ControllerToWorker, Message};
 
 /// ISSUE 13's structural bound: 2 workers, 64 independent tasks, 200
 /// two-task migrations. Nothing may grow with the number of migrations, and
@@ -93,6 +95,44 @@ fn planning_rounds_before_one_instantiation_compose() {
         f.instantiate();
         f.check_structure();
         assert!(f.instantiate().auto_validated);
+    }
+}
+
+/// Table 3's claim in bytes: after a migration, the edits that the next
+/// instantiation messages carry cost fewer wire bytes than reinstalling the
+/// template of every worker they edit.
+#[test]
+fn edits_cost_fewer_wire_bytes_than_reinstalling_the_edited_templates() {
+    let job = JobId(1);
+    let size = |m: ControllerToWorker| Message::ToWorker(m).wire_size();
+    let instantiate =
+        |inst: WorkerInstantiation| size(ControllerToWorker::InstantiateTemplate { job, inst });
+    for (shape, tasks) in [
+        (Shape::Independent, 64),
+        (Shape::Reduce, 16),
+        (Shape::Broadcast, 16),
+    ] {
+        for k in [1, 3] {
+            let mut f = Fixture::new(shape, 2, tasks);
+            f.instantiate();
+            assert_eq!(f.migrate(k), k, "{shape:?}, k = {k}");
+            let edited = f.instantiate();
+            let (mut edit_bytes, mut reinstall_bytes) = (0, 0);
+            for (worker, inst) in edited.sent.into_iter().filter(|(_, i)| !i.edits.is_empty()) {
+                let bare = WorkerInstantiation {
+                    edits: Vec::new(),
+                    ..inst.clone()
+                };
+                edit_bytes += instantiate(inst) - instantiate(bare);
+                let template = f.group().per_worker[&worker].clone();
+                reinstall_bytes += size(ControllerToWorker::InstallTemplate { job, template });
+            }
+            assert!(edit_bytes > 0, "{shape:?}, k = {k}: no edits shipped");
+            assert!(
+                edit_bytes < reinstall_bytes,
+                "{shape:?}, k = {k}: {edit_bytes} B of edits, {reinstall_bytes} B to reinstall"
+            );
+        }
     }
 }
 

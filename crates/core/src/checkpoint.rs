@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{CoreError, CoreResult};
 use crate::ids::{CheckpointId, LogicalPartition, Version, WorkerId};
 use crate::versioning::{InstanceMap, VersionMap};
 
@@ -59,66 +58,6 @@ impl CheckpointDescriptor {
             .iter()
             .map(|e| (e.partition, e.version))
             .collect()
-    }
-}
-
-/// Durable storage abstraction used by checkpointing and by load/save
-/// commands. The in-memory implementation is sufficient for an in-process
-/// cluster; a real deployment would back this with a distributed store.
-pub trait SnapshotStore: Send + Sync {
-    /// Persists a blob under a key.
-    fn put(&self, key: &str, data: Vec<u8>) -> CoreResult<()>;
-    /// Reads a blob back.
-    fn get(&self, key: &str) -> CoreResult<Vec<u8>>;
-    /// Returns true if the key exists.
-    fn contains(&self, key: &str) -> bool;
-    /// Deletes a key (ignored if absent).
-    fn delete(&self, key: &str);
-    /// Number of stored keys.
-    fn len(&self) -> usize;
-    /// Returns true if no keys are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Simple thread-safe in-memory snapshot store.
-#[derive(Debug, Default)]
-pub struct MemorySnapshotStore {
-    data: parking_lot::RwLock<HashMap<String, Vec<u8>>>,
-}
-
-impl MemorySnapshotStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SnapshotStore for MemorySnapshotStore {
-    fn put(&self, key: &str, data: Vec<u8>) -> CoreResult<()> {
-        self.data.write().insert(key.to_string(), data);
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> CoreResult<Vec<u8>> {
-        self.data
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| CoreError::CheckpointUnavailable(format!("missing key {key}")))
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.data.read().contains_key(key)
-    }
-
-    fn delete(&self, key: &str) {
-        self.data.write().remove(key);
-    }
-
-    fn len(&self) -> usize {
-        self.data.read().len()
     }
 }
 
@@ -196,18 +135,6 @@ mod tests {
             }],
             progress_marker: marker,
         }
-    }
-
-    #[test]
-    fn memory_store_round_trip() {
-        let store = MemorySnapshotStore::new();
-        store.put("a", vec![1, 2, 3]).unwrap();
-        assert!(store.contains("a"));
-        assert_eq!(store.get("a").unwrap(), vec![1, 2, 3]);
-        assert_eq!(store.len(), 1);
-        store.delete("a");
-        assert!(!store.contains("a"));
-        assert!(store.get("a").is_err());
     }
 
     #[test]

@@ -48,8 +48,6 @@ pub enum CoreError {
     EmptyTemplate,
     /// Raw bytes could not be decoded into the expected parameter layout.
     MalformedParams(String),
-    /// A checkpoint could not be found or decoded.
-    CheckpointUnavailable(String),
     /// Generic invariant violation with a human-readable description.
     Invariant(String),
 }
@@ -84,7 +82,6 @@ impl fmt::Display for CoreError {
             CoreError::DuplicateTask(t) => write!(f, "duplicate task {t}"),
             CoreError::EmptyTemplate => write!(f, "basic block recorded no tasks"),
             CoreError::MalformedParams(msg) => write!(f, "malformed parameters: {msg}"),
-            CoreError::CheckpointUnavailable(msg) => write!(f, "checkpoint unavailable: {msg}"),
             CoreError::Invariant(msg) => write!(f, "invariant violation: {msg}"),
         }
     }

@@ -70,9 +70,15 @@ impl ControlPlaneStats {
         Self::default()
     }
 
-    /// Records a message of the given tag and size.
+    /// Records a message of the given tag and size. Only the first message
+    /// of a tag allocates its key.
     pub fn record_message(&mut self, tag: &str, bytes: usize) {
-        *self.messages_by_tag.entry(tag.to_string()).or_insert(0) += 1;
+        match self.messages_by_tag.get_mut(tag) {
+            Some(count) => *count += 1,
+            None => {
+                self.messages_by_tag.insert(tag.to_string(), 1);
+            }
+        }
         self.control_bytes_sent += bytes as u64;
     }
 

@@ -336,10 +336,6 @@ impl TransportEndpoint for SimEndpoint {
     fn try_recv(&self) -> NetResult<Envelope> {
         Err(NetError::Empty)
     }
-
-    fn pending(&self) -> usize {
-        0
-    }
 }
 
 impl Drop for SimEndpoint {

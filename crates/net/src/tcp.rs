@@ -39,10 +39,10 @@
 //! section, so the inbox sees notices in the order the record changed.
 //!
 //! A node is one thread, its owner; nothing reads in the background.
-//! `recv`, `recv_timeout`, `try_recv` and `pending` run one `poll(2)` over
-//! the non-blocking listener and inbound streams, give each readable stream
-//! one `read(2)` into its own buffer and queue every whole frame in it, so
-//! a frame costs one wake-up of the owner. The owner also receives while
+//! `recv`, `recv_timeout` and `try_recv` run one `poll(2)` over the
+//! non-blocking listener and inbound streams, give each readable stream one
+//! `read(2)` into its own buffer and queue every whole frame in it, so a
+//! frame costs one wake-up of the owner. The owner also receives while
 //! the kernel will not take one of its writes and during a first dial's
 //! retry pause, so two nodes writing to each other cannot deadlock.
 
@@ -884,11 +884,6 @@ impl TransportEndpoint for TcpEndpoint {
             }
         }
         inbox.settled().pop_front().ok_or(NetError::Empty)
-    }
-
-    fn pending(&self) -> usize {
-        let _ = self.pump(Some(Duration::ZERO), None);
-        self.inbox.borrow_mut().settled().len()
     }
 
     fn reset_worker_peers(&self) {

@@ -8,7 +8,7 @@
 //!
 //! An optional [`LatencyModel`] delays deliveries to emulate a datacenter
 //! network; with latency disabled, channels deliver immediately, which is the
-//! configuration used by unit tests and microbenchmarks.
+//! configuration used by unit tests and the benchmark.
 //!
 //! The [`TransportEndpoint`] trait abstracts one node's connection to *some*
 //! fabric; [`Endpoint`] (this module) and [`crate::tcp::TcpEndpoint`] are the
@@ -66,9 +66,6 @@ pub trait TransportEndpoint: Send + 'static {
 
     /// Non-blocking receive.
     fn try_recv(&self) -> NetResult<Envelope>;
-
-    /// Number of messages waiting in the inbox.
-    fn pending(&self) -> usize;
 
     /// Drops every established outbound *data-plane* connection — streams to
     /// worker peers — plus any redial backoff for them, so the next transfer
@@ -135,7 +132,7 @@ pub type NetResult<T> = Result<T, NetError>;
 /// Delivery latency model applied to every message.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum LatencyModel {
-    /// Deliver immediately (default; used by tests and microbenchmarks).
+    /// Deliver immediately (default; used by tests and the benchmark).
     #[default]
     None,
     /// Add a fixed one-way delay to every message.
@@ -423,11 +420,6 @@ impl Endpoint {
             .map_err(|_| NetError::Timeout)
     }
 
-    /// Number of messages waiting in the inbox.
-    pub fn pending(&self) -> usize {
-        self.receiver.len()
-    }
-
     /// The network this endpoint is attached to.
     pub fn network(&self) -> &Network {
         &self.network
@@ -458,10 +450,6 @@ impl TransportEndpoint for Endpoint {
     fn try_recv(&self) -> NetResult<Envelope> {
         Endpoint::try_recv(self)
     }
-
-    fn pending(&self) -> usize {
-        Endpoint::pending(self)
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +477,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(controller.pending(), 0);
+        assert!(matches!(controller.try_recv(), Err(NetError::Empty)));
     }
 
     #[test]

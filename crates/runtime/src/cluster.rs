@@ -124,7 +124,6 @@ impl Cluster {
         }
 
         let mut controller_config = ControllerConfig::new(worker_ids);
-        controller_config.policy = config.policy.clone();
         controller_config.enable_templates = config.enable_templates;
         controller_config.checkpoint_every = config.checkpoint_every;
         controller_config.rejoin_grace = config.rejoin_grace;

@@ -3,7 +3,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nimbus_controller::AssignmentPolicy;
 use nimbus_core::appdata::AppData;
 use nimbus_core::ids::{FunctionId, LogicalObjectId, LogicalPartition};
 use nimbus_net::LatencyModel;
@@ -13,7 +12,7 @@ use nimbus_worker::{DataFactoryRegistry, FunctionRegistry, TaskContext};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportKind {
     /// In-process channels: fast and deterministic, the configuration used
-    /// by unit tests and microbenchmarks.
+    /// by unit tests and the benchmark.
     #[default]
     InProcess,
     /// Length-prefix-framed TCP over loopback sockets: every node still runs
@@ -40,8 +39,6 @@ pub struct ClusterConfig {
     pub spin_wait: Option<Duration>,
     /// Automatically checkpoint after this many template instantiations.
     pub checkpoint_every: Option<u64>,
-    /// Partition assignment policy.
-    pub policy: AssignmentPolicy,
     /// How long the controller waits for a failed worker to rejoin before
     /// recovering onto the survivors (TCP transports; `None` recovers
     /// immediately, the pre-rejoin behavior).
@@ -59,7 +56,6 @@ impl ClusterConfig {
             enable_templates: true,
             spin_wait: None,
             checkpoint_every: None,
-            policy: AssignmentPolicy::hash(),
             rejoin_grace: None,
         }
     }

@@ -4,7 +4,7 @@
 //! threads, and a synchronous driver handle, connected either by the
 //! in-process `nimbus-net` transport or by loopback TCP sockets
 //! ([`config::TransportKind`]). This is the substrate the examples,
-//! integration tests, and microbenchmarks (Tables 1–3 of the paper) run on.
+//! integration tests, and the repository benchmark run on.
 //!
 //! Multi-process deployments use the `nimbus-controller` and `nimbus-worker`
 //! binaries, which wire the same controller/worker nodes over a shared TCP

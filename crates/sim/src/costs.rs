@@ -1,10 +1,9 @@
 //! Control-plane cost profiles.
 //!
 //! The scaling figures compose per-task control-plane costs with a cluster
-//! model. By default the costs are the paper's published constants (Tables
-//! 1–3); the benchmark harness can substitute the constants measured on the
-//! local machine by the Criterion microbenchmarks so the figures reflect this
-//! implementation rather than the authors' testbed.
+//! model. The costs are the paper's published constants (Tables 1–3), so the
+//! figures reproduce the authors' testbed; this implementation's own per-task
+//! costs are measured by the repository benchmark's per-layer metrics.
 
 /// Per-task and per-event control-plane costs, in microseconds unless noted.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,10 +1,10 @@
 //! # nimbus-sim
 //!
 //! A cluster simulator for the execution-templates evaluation. Per-task
-//! control-plane costs (the paper's Tables 1–3, or constants measured by the
-//! Criterion microbenchmarks on this machine) are composed with a cluster and
-//! workload model to regenerate the paper's scale-out figures (Figures 1 and
-//! 7–11) — experiments that would otherwise need a 100-node EC2 cluster.
+//! control-plane costs (the paper's published Tables 1–3) are composed with
+//! a cluster and workload model to regenerate the paper's scale-out figures
+//! (Figures 1 and 7–11) — experiments that would otherwise need a 100-node
+//! EC2 cluster.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1033,10 +1033,6 @@ mod tests {
         fn try_recv(&self) -> NetResult<Envelope> {
             Err(NetError::Empty)
         }
-
-        fn pending(&self) -> usize {
-            0
-        }
     }
 
     /// Install, instantiate and completions driven through `turn` alone:

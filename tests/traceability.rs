@@ -1,12 +1,17 @@
-//! TRACEABILITY.md names only tests that exist.
+//! TRACEABILITY.md names only tests and files that exist.
 //!
 //! Every test a "Pinned by" cell names must be an `fn` somewhere in the
 //! workspace's sources, so a renamed or folded test cannot leave a row
 //! pointing at nothing. A name is either the last segment of a backticked
 //! path (`file.rs::name`, `module::tests::name`; a path ending in `tests`
 //! names a whole test module) or a backticked snake_case identifier that is
-//! not the stem of a source file (those name binaries, examples and test
-//! crates).
+//! neither the stem of a source file (those name binaries, examples and test
+//! crates) nor a metric of the benchmark (`BENCHMARK.json`).
+//!
+//! Every backticked repo-relative path anywhere in the document must exist
+//! too, so a deleted or moved file cannot leave a row pointing at nothing: a
+//! path is a span starting with one of [`ROOTS`], `{a,b}` lists expand to
+//! one path each, and a segment with a `*` must match at least one entry.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -56,8 +61,18 @@ fn fn_names(source: &str, out: &mut HashSet<String>) {
     }
 }
 
+/// Every `"name": "..."` value in the benchmark's declaration: its
+/// workloads and metrics.
+fn benchmark_names(declaration: &str) -> HashSet<String> {
+    declaration
+        .split("\"name\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('"').map(|(name, _)| name.to_string()))
+        .collect()
+}
+
 /// The test names in the "Pinned by" cells of every table in `doc`.
-fn pinned_names(doc: &str, file_stems: &HashSet<String>) -> Vec<String> {
+fn pinned_names(doc: &str, known: &HashSet<String>) -> Vec<String> {
     let mut names = Vec::new();
     let mut column = None;
     for line in doc.lines() {
@@ -77,7 +92,7 @@ fn pinned_names(doc: &str, file_stems: &HashSet<String>) -> Vec<String> {
             let name = match span.rsplit_once("::") {
                 Some((_, last)) if last != "tests" => last,
                 Some(_) => continue,
-                None if !file_stems.contains(span) => span,
+                None if !known.contains(span) => span,
                 None => continue,
             };
             if is_ident(name) {
@@ -88,6 +103,85 @@ fn pinned_names(doc: &str, file_stems: &HashSet<String>) -> Vec<String> {
     names
 }
 
+/// `path` with its first `{a,b,...}` list expanded, recursively.
+fn expand_braces(path: &str) -> Vec<String> {
+    let Some((head, rest)) = path.split_once('{') else {
+        return vec![path.to_string()];
+    };
+    let Some((list, tail)) = rest.split_once('}') else {
+        return vec![path.to_string()];
+    };
+    list.split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{}{tail}", alt.trim())))
+        .collect()
+}
+
+/// Whether `name` matches `pattern`, whose one `*` matches any run of
+/// characters.
+fn wildcard(pattern: &str, name: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == name,
+        Some((prefix, suffix)) => {
+            name.len() >= prefix.len() + suffix.len()
+                && name.starts_with(prefix)
+                && name.ends_with(suffix)
+        }
+    }
+}
+
+/// Whether the repo-relative `path` names at least one existing entry.
+fn resolves(root: &Path, path: &str) -> bool {
+    let mut found = vec![root.to_path_buf()];
+    for segment in path.split('/').filter(|s| !s.is_empty()) {
+        found = found
+            .iter()
+            .flat_map(|dir| -> Vec<PathBuf> {
+                if !segment.contains('*') {
+                    return vec![dir.join(segment)];
+                }
+                let Ok(entries) = std::fs::read_dir(dir) else {
+                    return Vec::new();
+                };
+                entries
+                    .flatten()
+                    .filter(|e| wildcard(segment, &e.file_name().to_string_lossy()))
+                    .map(|e| e.path())
+                    .collect()
+            })
+            .filter(|p| p.exists())
+            .collect();
+    }
+    !found.is_empty()
+}
+
+/// Every backticked span of `doc` that starts with one of [`ROOTS`], with
+/// any `::item` suffix cut off and brace lists expanded.
+fn cited_paths(doc: &str) -> Vec<String> {
+    doc.split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|span| {
+            ROOTS
+                .iter()
+                .any(|r| span.strip_prefix(r).is_some_and(|s| s.starts_with('/')))
+        })
+        .flat_map(|span| expand_braces(span.split("::").next().unwrap_or(span)))
+        .collect()
+}
+
+#[test]
+fn every_path_traceability_names_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("TRACEABILITY.md")).unwrap();
+    let paths = cited_paths(&doc);
+    assert!(paths.len() >= 10, "too few paths parsed: {paths:?}");
+    let missing: Vec<&String> = paths.iter().filter(|p| !resolves(root, p)).collect();
+    assert!(
+        missing.is_empty(),
+        "TRACEABILITY.md cites paths that do not exist: {missing:?}"
+    );
+}
+
 #[test]
 fn every_test_traceability_names_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -96,15 +190,16 @@ fn every_test_traceability_names_exists() {
         rust_files(&root.join(dir), &mut files);
     }
     let mut fns = HashSet::new();
-    let mut file_stems = HashSet::new();
+    let declaration = std::fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+    let mut known = benchmark_names(&declaration);
     for file in &files {
         fn_names(&std::fs::read_to_string(file).unwrap(), &mut fns);
         if let Some(stem) = file.file_stem() {
-            file_stems.insert(stem.to_string_lossy().into_owned());
+            known.insert(stem.to_string_lossy().into_owned());
         }
     }
     let doc = std::fs::read_to_string(root.join("TRACEABILITY.md")).unwrap();
-    let names = pinned_names(&doc, &file_stems);
+    let names = pinned_names(&doc, &known);
     assert!(names.len() >= 10, "too few names parsed: {names:?}");
     let missing: Vec<&String> = names.iter().filter(|n| !fns.contains(*n)).collect();
     assert!(
